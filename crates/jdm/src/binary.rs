@@ -55,21 +55,9 @@ pub mod tag {
 pub fn write_item(item: &Item, out: &mut Vec<u8>) {
     match item {
         Item::Null => out.push(tag::NULL),
-        Item::Boolean(false) => out.push(tag::FALSE),
-        Item::Boolean(true) => out.push(tag::TRUE),
-        Item::Number(Number::Int(i)) => {
-            out.push(tag::INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Item::Number(Number::Double(d)) => {
-            out.push(tag::DOUBLE);
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        Item::String(s) => {
-            out.push(tag::STRING);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
+        Item::Boolean(b) => write_bool(*b, out),
+        Item::Number(n) => write_number(*n, out),
+        Item::String(s) => write_string(s.as_bytes(), out),
         Item::DateTime(d) => {
             out.push(tag::DATETIME);
             out.extend_from_slice(&d.year.to_le_bytes());
@@ -78,41 +66,100 @@ pub fn write_item(item: &Item, out: &mut Vec<u8>) {
         Item::Array(members) => write_listlike(tag::ARRAY, members, out),
         Item::Sequence(members) => write_listlike(tag::SEQUENCE, members, out),
         Item::Object(pairs) => {
-            out.push(tag::OBJECT);
-            let payload_pos = out.len();
-            out.extend_from_slice(&0u32.to_le_bytes()); // payload_len patch
-            out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-            let table_pos = out.len();
-            out.resize(out.len() + 4 * pairs.len(), 0);
-            let data_start = out.len();
-            for (i, (k, v)) in pairs.iter().enumerate() {
-                let off = (out.len() - data_start) as u32;
-                out[table_pos + 4 * i..table_pos + 4 * (i + 1)].copy_from_slice(&off.to_le_bytes());
-                out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                out.extend_from_slice(k.as_bytes());
+            let mut w = ContainerWriter::begin(tag::OBJECT, pairs.len(), out);
+            for (k, v) in pairs {
+                w.member(out);
+                write_len_prefixed(k.as_bytes(), out);
                 write_item(v, out);
             }
-            let payload_len = (out.len() - payload_pos - 4) as u32;
-            out[payload_pos..payload_pos + 4].copy_from_slice(&payload_len.to_le_bytes());
+            w.finish(out);
         }
     }
 }
 
 fn write_listlike(t: u8, members: &[Item], out: &mut Vec<u8>) {
-    out.push(t);
-    let payload_pos = out.len();
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&(members.len() as u32).to_le_bytes());
-    let table_pos = out.len();
-    out.resize(out.len() + 4 * members.len(), 0);
-    let data_start = out.len();
-    for (i, m) in members.iter().enumerate() {
-        let off = (out.len() - data_start) as u32;
-        out[table_pos + 4 * i..table_pos + 4 * (i + 1)].copy_from_slice(&off.to_le_bytes());
+    let mut w = ContainerWriter::begin(t, members.len(), out);
+    for m in members {
+        w.member(out);
         write_item(m, out);
     }
-    let payload_len = (out.len() - payload_pos - 4) as u32;
-    out[payload_pos..payload_pos + 4].copy_from_slice(&payload_len.to_le_bytes());
+    w.finish(out);
+}
+
+/// A boolean item.
+pub(crate) fn write_bool(b: bool, out: &mut Vec<u8>) {
+    out.push(if b { tag::TRUE } else { tag::FALSE });
+}
+
+/// A number item.
+pub(crate) fn write_number(n: Number, out: &mut Vec<u8>) {
+    match n {
+        Number::Int(i) => {
+            out.push(tag::INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Number::Double(d) => {
+            out.push(tag::DOUBLE);
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+    }
+}
+
+/// A string item from its UTF-8 bytes.
+pub(crate) fn write_string(s: &[u8], out: &mut Vec<u8>) {
+    out.push(tag::STRING);
+    write_len_prefixed(s, out);
+}
+
+/// `u32 len, bytes` — a string payload or an object key.
+pub(crate) fn write_len_prefixed(s: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s);
+}
+
+/// Writes an array, object or sequence envelope — tag, payload length,
+/// count, offset table — and fills the offset table as members are
+/// appended. Shared by [`write_item`] and the structural index's tape
+/// writer, so the container layout is decided here only.
+pub(crate) struct ContainerWriter {
+    payload_pos: usize,
+    table_pos: usize,
+    data_start: usize,
+    next: usize,
+}
+
+impl ContainerWriter {
+    /// Start a container of exactly `count` members.
+    pub(crate) fn begin(t: u8, count: usize, out: &mut Vec<u8>) -> Self {
+        out.push(t);
+        let payload_pos = out.len();
+        out.extend_from_slice(&0u32.to_le_bytes()); // payload_len patch
+        out.extend_from_slice(&(count as u32).to_le_bytes());
+        let table_pos = out.len();
+        out.resize(table_pos + 4 * count, 0);
+        ContainerWriter {
+            payload_pos,
+            table_pos,
+            data_start: out.len(),
+            next: 0,
+        }
+    }
+
+    /// Record that the next member (or object pair) starts at the current
+    /// end of `out`.
+    pub(crate) fn member(&mut self, out: &mut [u8]) {
+        let off = (out.len() - self.data_start) as u32;
+        let at = self.table_pos + 4 * self.next;
+        out[at..at + 4].copy_from_slice(&off.to_le_bytes());
+        self.next += 1;
+    }
+
+    /// Patch the payload length once every member is written.
+    pub(crate) fn finish(self, out: &mut [u8]) {
+        debug_assert_eq!(self.table_pos + 4 * self.next, self.data_start);
+        let payload_len = (out.len() - self.payload_pos - 4) as u32;
+        out[self.payload_pos..self.payload_pos + 4].copy_from_slice(&payload_len.to_le_bytes());
+    }
 }
 
 /// Build a serialized sequence directly from already-serialized member
@@ -274,14 +321,16 @@ impl<'a> ItemRef<'a> {
     }
 
     /// Object key lookup (first occurrence wins, matching the tree model).
+    /// Keys are compared as raw bytes: byte equality with a `&str` is
+    /// string equality, so no probed key needs UTF-8 validation.
     pub fn get_key(&self, key: &str) -> Option<ItemRef<'a>> {
         if self.tag() != tag::OBJECT {
             return None;
         }
         for i in 0..self.count()? {
-            let (k, v) = self.pair(i)?;
-            if k == key {
-                return Some(v);
+            let (k, value_at) = self.raw_pair(i)?;
+            if k == key.as_bytes() {
+                return ItemRef::new(self.buf.get(value_at..)?).ok();
             }
         }
         None
@@ -292,12 +341,20 @@ impl<'a> ItemRef<'a> {
         if self.tag() != tag::OBJECT || idx >= self.count()? {
             return None;
         }
+        let (k, value_at) = self.raw_pair(idx)?;
+        let key = std::str::from_utf8(k).ok()?;
+        let val = ItemRef::new(self.buf.get(value_at..)?).ok()?;
+        Some((key, val))
+    }
+
+    /// The unvalidated key bytes of object pair `idx` and the offset of
+    /// its value.
+    fn raw_pair(&self, idx: usize) -> Option<(&'a [u8], usize)> {
         let off = read_u32(self.buf, self.table_start() + 4 * idx).ok()? as usize;
         let start = self.data_start()? + off;
         let klen = read_u32(self.buf, start).ok()? as usize;
-        let key = std::str::from_utf8(self.buf.get(start + 4..start + 4 + klen)?).ok()?;
-        let val = ItemRef::new(self.buf.get(start + 4 + klen..)?).ok()?;
-        Some((key, val))
+        let key = self.buf.get(start + 4..start + 4 + klen)?;
+        Some((key, start + 4 + klen))
     }
 
     /// Iterate members (arrays/sequences) or values (objects).
@@ -440,7 +497,11 @@ mod tests {
 
     #[test]
     fn object_key_lookup() {
-        let item = parse_item(br#"{"alpha": 1, "beta": "two", "alpha": 99}"#).unwrap();
+        let item = parse_item(
+            r#"{"alpha": 1, "beta": "two", "alpha": 99, "grüße": [3], "gr": 4, "\u00e9t\u00e9": 5}"#
+                .as_bytes(),
+        )
+        .unwrap();
         let bytes = to_bytes(&item);
         let r = ItemRef::new(&bytes).unwrap();
         assert_eq!(r.get_key("beta").unwrap().as_str(), Some("two"));
@@ -450,6 +511,19 @@ mod tests {
             Some(Number::Int(1))
         );
         assert!(r.get_key("gamma").is_none());
+        // Non-ASCII keys match on their UTF-8 bytes, whole keys only: a
+        // prefix of a multi-byte key never matches.
+        assert_eq!(r.get_key("grüße").unwrap().count(), Some(1));
+        assert_eq!(r.get_key("gr").unwrap().as_number(), Some(Number::Int(4)));
+        assert!(r.get_key("grü").is_none());
+        assert_eq!(r.get_key("été").unwrap().as_number(), Some(Number::Int(5)));
+        for key in ["alpha", "beta", "grüße", "gr", "été", "gamma", ""] {
+            assert_eq!(
+                r.get_key(key).map(|v| v.to_item().unwrap()).as_ref(),
+                item.get_key(key),
+                "{key}"
+            );
+        }
     }
 
     #[test]

@@ -23,15 +23,21 @@
 //!   layer assign record-aligned byte ranges of one file to different
 //!   partitions (see `vxq-core`'s split scan).
 //!
+//! The tape also serializes: [`StructuralIndex::write_binary`] emits any
+//! value in the [`crate::binary`] frame layout straight from the validated
+//! tape, which is how the scan produces tuples without building an
+//! [`Item`] or re-tokenizing.
+//!
 //! The tape is a plain `Vec` that can be recycled across documents via
 //! [`StructuralIndex::build_reusing`] / [`StructuralIndex::into_tape`]
 //! (the scan layer pools tapes to avoid per-file allocation).
 
+use crate::binary::{tag, write_bool, write_len_prefixed, write_number, ContainerWriter, ItemRef};
 use crate::error::{JdmError, Result};
 use crate::item::Item;
 use crate::number::Number;
 use crate::parse::{number_at, parse_string_at, scan_number_at};
-use crate::parse::{Event, EventParser, TreeBuilder, MAX_DEPTH};
+use crate::parse::{Event, MAX_DEPTH};
 use crate::stage1::{IndexBlock, IndexScanner, Kernel, Stage1Mode};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -237,12 +243,67 @@ impl StructuralIndex {
         }
     }
 
-    /// Materialize the value at `node` into an [`Item`]. The span was
-    /// already validated at build time, so this cannot fail structurally.
+    /// Materialize the value at `node` into an [`Item`]: a decode of the
+    /// bytes [`StructuralIndex::write_binary`] emits for it.
     pub fn item_at(&self, buf: &[u8], node: usize) -> Result<Item> {
-        let (s, e) = self.span(node);
-        let mut p = EventParser::new(&buf[s..e]);
-        TreeBuilder::build(&mut p)
+        let mut bytes = Vec::new();
+        self.write_binary(buf, node, &mut bytes)?;
+        ItemRef::new(&bytes)?.to_item()
+    }
+
+    /// Append the value at `node` to `out` in the [`crate::binary`] layout,
+    /// straight from the validated tape: byte-identical to
+    /// `write_item(&self.item_at(buf, node)?, out)`, with no [`Item`] and
+    /// no re-tokenizing. Clean strings and keys are copied from their span
+    /// (the build validated them); escaped ones decode through the shared
+    /// string routine, numbers convert through the shared number routine,
+    /// and container counts come from pair-pointer skips. `buf` must be
+    /// the document this index was built over.
+    pub fn write_binary(&self, buf: &[u8], node: usize, out: &mut Vec<u8>) -> Result<()> {
+        let e = self.tape[node];
+        match e.kind {
+            TapeKind::Null => out.push(tag::NULL),
+            TapeKind::Bool => write_bool(buf[e.start as usize] == b't', out),
+            TapeKind::Number => write_number(number_at(buf, e.start as usize)?.0, out),
+            TapeKind::String => {
+                out.push(tag::STRING);
+                write_string_span(buf, e, out)?;
+            }
+            TapeKind::ArrayOpen => {
+                let mut w =
+                    ContainerWriter::begin(tag::ARRAY, self.members_iter(node).count(), out);
+                for m in self.members_iter(node) {
+                    w.member(out);
+                    self.write_binary(buf, m, out)?;
+                }
+                w.finish(out);
+            }
+            TapeKind::ObjectOpen => {
+                // Each key's value is the entry after it.
+                let close = e.pair as usize;
+                let (mut count, mut key) = (0, node + 1);
+                while key < close {
+                    count += 1;
+                    key = self.skip(key + 1);
+                }
+                let mut w = ContainerWriter::begin(tag::OBJECT, count, out);
+                let mut key = node + 1;
+                while key < close {
+                    w.member(out);
+                    write_string_span(buf, self.tape[key], out)?;
+                    self.write_binary(buf, key + 1, out)?;
+                    key = self.skip(key + 1);
+                }
+                w.finish(out);
+            }
+            TapeKind::Key | TapeKind::ObjectClose | TapeKind::ArrayClose => {
+                return Err(JdmError::parse(
+                    e.start as usize,
+                    "tape node is not at the start of a value",
+                ))
+            }
+        }
+        Ok(())
     }
 
     /// Decode the string of a [`TapeKind::Key`] or [`TapeKind::String`]
@@ -287,6 +348,18 @@ impl StructuralIndex {
     pub fn number_at(&self, buf: &[u8], node: usize) -> Result<Number> {
         Ok(number_at(buf, self.tape[node].start as usize)?.0)
     }
+}
+
+/// Append a key or string entry's decoded text as `u32 len, bytes`.
+fn write_string_span(buf: &[u8], e: TapeEntry, out: &mut Vec<u8>) -> Result<()> {
+    let raw = &buf[e.start as usize + 1..e.end as usize - 1];
+    if raw.contains(&b'\\') {
+        let (text, _) = parse_string_at(buf, e.start as usize)?;
+        write_len_prefixed(text.as_bytes(), out);
+    } else {
+        write_len_prefixed(raw, out);
+    }
+    Ok(())
 }
 
 /// Zero-alloc iterator over an array's member tape indices; see
@@ -626,7 +699,8 @@ impl Builder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_item;
+    use crate::binary::to_bytes;
+    use crate::parse::{parse_item, EventParser};
 
     fn idx(src: &str) -> StructuralIndex {
         StructuralIndex::build(src.as_bytes()).unwrap()
@@ -678,6 +752,39 @@ mod tests {
         let arr_node = 2; // after ObjectOpen, Key
         let arr = t.item_at(src.as_bytes(), arr_node).unwrap();
         assert_eq!(arr.get_index(0), Some(&Item::int(1)));
+    }
+
+    #[test]
+    fn write_binary_matches_encoding_the_parsed_tree() {
+        for src in [
+            r#"{"a": [1, {"b": "x"}], "a": null, "": {}}"#,
+            r#"["\u00e9\n\"\\/", "\ud83d\ude00", "plain", "grüße", []]"#,
+            "[9223372036854775807, 9223372036854775808, -9223372036854775809, -0, 0.5]",
+            "[1e3, -2.5E-7, 1E+2, 123456789012345678901234567890]",
+            "[true, false, null, {}, [], [[]], {\"k\": {}}]",
+            r#""\t""#,
+            "42",
+        ] {
+            let t = idx(src);
+            let mut got = Vec::new();
+            t.write_binary(src.as_bytes(), t.root(), &mut got).unwrap();
+            assert_eq!(got, to_bytes(&parse_item(src.as_bytes()).unwrap()), "{src}");
+            // Every value node, not just the root.
+            for node in 0..t.len() {
+                if matches!(
+                    t.tape()[node].kind,
+                    TapeKind::Key | TapeKind::ObjectClose | TapeKind::ArrayClose
+                ) {
+                    assert!(t.write_binary(src.as_bytes(), node, &mut got).is_err());
+                    continue;
+                }
+                let (s, e) = t.span(node);
+                let mut sub = Vec::new();
+                t.write_binary(src.as_bytes(), node, &mut sub).unwrap();
+                let expect = to_bytes(&parse_item(&src.as_bytes()[s..e]).unwrap());
+                assert_eq!(sub, expect, "{src} node {node}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! From-scratch JSON parsing: an event (SAX-style) layer and a tree builder.
 //!
-//! The event layer is the workhorse: both the tree builder and the
-//! path-projecting parser ([`crate::project`]) consume events, so the
-//! skip-heavy projection path never pays for building unneeded values.
+//! The tree builder consumes events. The path-projecting parser
+//! ([`crate::project`]) does not: it navigates the structural index and
+//! writes what it emits straight from the tape, so the event parser is the
+//! independent oracle its differential tests compare against, and the
+//! parser for whole documents (`parse_item`).
 
 mod event;
 mod tree;

@@ -4,7 +4,9 @@
 //! (one validating pass), then navigates the tape following a
 //! [`ProjectionPath`]: non-matching subtrees are skipped in O(1) via the
 //! tape's pair pointers instead of being re-scanned byte by byte. Only
-//! matching sub-items are materialized. This is the runtime realization
+//! matching sub-items are emitted — as [`Item`]s, or (the `*_binary`
+//! variants the engine's scan uses) as frame bytes written straight from
+//! the tape with no [`Item`] in between. This is the runtime realization
 //! of the paper's extended DATASCAN operator (pipelining rules, §4.2):
 //! with path `("root")()("results")()` over a GHCN sensor file, the sink
 //! sees one measurement object at a time, while `metadata`, sibling keys,
@@ -54,7 +56,28 @@ pub fn project_indexed(
     buf: &[u8],
     index: &StructuralIndex,
     path: &ProjectionPath,
-    mut sink: impl FnMut(Item) -> bool,
+    sink: impl FnMut(Item) -> bool,
+) -> Result<ProjectStats> {
+    project_nodes(buf, index, path, item_sink(buf, index, sink))
+}
+
+/// [`project_indexed`] emitting each item in the [`crate::binary`] layout,
+/// written straight from the tape ([`StructuralIndex::write_binary`]) —
+/// no [`Item`] is built. The slice is valid only during the call.
+pub fn project_indexed_binary(
+    buf: &[u8],
+    index: &StructuralIndex,
+    path: &ProjectionPath,
+    sink: impl FnMut(&[u8]) -> bool,
+) -> Result<ProjectStats> {
+    project_nodes(buf, index, path, binary_sink(buf, index, sink))
+}
+
+fn project_nodes(
+    buf: &[u8],
+    index: &StructuralIndex,
+    path: &ProjectionPath,
+    mut sink: impl FnMut(usize) -> Result<bool>,
 ) -> Result<ProjectStats> {
     let mut stats = ProjectStats::default();
     walk_tape(
@@ -68,6 +91,30 @@ pub fn project_indexed(
     Ok(stats)
 }
 
+/// Adapt an item sink to the tape-node sink the walk drives.
+fn item_sink<'s>(
+    buf: &'s [u8],
+    index: &'s StructuralIndex,
+    mut sink: impl FnMut(Item) -> bool + 's,
+) -> impl FnMut(usize) -> Result<bool> + 's {
+    move |node| Ok(sink(index.item_at(buf, node)?))
+}
+
+/// Adapt a byte sink to the tape-node sink the walk drives; every node is
+/// written into one reused buffer.
+fn binary_sink<'s>(
+    buf: &'s [u8],
+    index: &'s StructuralIndex,
+    mut sink: impl FnMut(&[u8]) -> bool + 's,
+) -> impl FnMut(usize) -> Result<bool> + 's {
+    let mut bytes = Vec::new();
+    move |node| {
+        bytes.clear();
+        index.write_binary(buf, node, &mut bytes)?;
+        Ok(sink(&bytes))
+    }
+}
+
 /// Convenience wrapper collecting all projected items.
 pub fn project_all(buf: &[u8], path: &ProjectionPath) -> Result<Vec<Item>> {
     let mut out = Vec::new();
@@ -79,20 +126,20 @@ pub fn project_all(buf: &[u8], path: &ProjectionPath) -> Result<Vec<Item>> {
 }
 
 /// Recursive step over the tape: `node` is at value position; `steps` is
-/// the residual path. Returns `Ok(false)` when the sink asked to stop.
+/// the residual path. Each node the path reaches goes to `sink`, which
+/// materializes or encodes it. Returns `Ok(false)` when the sink asked to
+/// stop.
 fn walk_tape(
     buf: &[u8],
     idx: &StructuralIndex,
     node: usize,
     steps: &[PathStep],
-    sink: &mut impl FnMut(Item) -> bool,
+    sink: &mut impl FnMut(usize) -> Result<bool>,
     stats: &mut ProjectStats,
 ) -> Result<bool> {
     let Some((first, rest)) = steps.split_first() else {
-        // End of path: materialize this value and emit it.
-        let item = idx.item_at(buf, node)?;
         stats.emitted += 1;
-        return Ok(sink(item));
+        return sink(node);
     };
 
     let e = &idx.tape()[node];
@@ -288,7 +335,32 @@ impl RecordTable {
         index: &StructuralIndex,
         path: &ProjectionPath,
         range: Range<usize>,
-        mut sink: impl FnMut(Item) -> bool,
+        sink: impl FnMut(Item) -> bool,
+    ) -> Result<ProjectStats> {
+        self.project_range_nodes(buf, index, path, range, item_sink(buf, index, sink))
+    }
+
+    /// [`RecordTable::project_range`] emitting each item in the
+    /// [`crate::binary`] layout, written straight from the tape — no
+    /// [`Item`] is built. The slice is valid only during the call.
+    pub fn project_range_binary(
+        &self,
+        buf: &[u8],
+        index: &StructuralIndex,
+        path: &ProjectionPath,
+        range: Range<usize>,
+        sink: impl FnMut(&[u8]) -> bool,
+    ) -> Result<ProjectStats> {
+        self.project_range_nodes(buf, index, path, range, binary_sink(buf, index, sink))
+    }
+
+    fn project_range_nodes(
+        &self,
+        buf: &[u8],
+        index: &StructuralIndex,
+        path: &ProjectionPath,
+        range: Range<usize>,
+        mut sink: impl FnMut(usize) -> Result<bool>,
     ) -> Result<ProjectStats> {
         let steps = &path.steps()[self.residual..];
         let mut stats = ProjectStats::default();
@@ -489,6 +561,39 @@ mod tests {
                     .unwrap();
             }
             assert_eq!(got, whole, "split at {mid}");
+        }
+    }
+
+    #[test]
+    fn binary_projection_encodes_the_item_projection() {
+        use crate::binary::to_bytes;
+        let buf = SENSOR.as_bytes();
+        let idx = StructuralIndex::build(buf).unwrap();
+        for spec in [
+            &["root", "()", "results", "()"][..],
+            &["root", "()", "results", "()", "date"],
+            &["root", "#2", "metadata"],
+            &[],
+        ] {
+            let p = path(spec);
+            let expect: Vec<Vec<u8>> = project_all(buf, &p).unwrap().iter().map(to_bytes).collect();
+            let mut got = Vec::new();
+            project_indexed_binary(buf, &idx, &p, |b| {
+                got.push(b.to_vec());
+                true
+            })
+            .unwrap();
+            assert_eq!(got, expect, "{spec:?}");
+            if let Some(table) = RecordTable::build(buf, &idx, &p).unwrap() {
+                got.clear();
+                table
+                    .project_range_binary(buf, &idx, &p, 0..table.len(), |b| {
+                        got.push(b.to_vec());
+                        true
+                    })
+                    .unwrap();
+                assert_eq!(got, expect, "{spec:?} by records");
+            }
         }
     }
 

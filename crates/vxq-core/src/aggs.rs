@@ -7,8 +7,7 @@
 //! step of Algebricks' two-step aggregation: partials computed per
 //! partition, merged at the destination partition.
 
-use crate::error::EngineError;
-use crate::rtexpr::RtExpr;
+use crate::rtexpr::{number_or_err, RtExpr, View};
 use algebra::expr::AggFunc;
 use dataflow::ops::eval::{Aggregator, AggregatorFactory};
 use dataflow::{DataflowError, TupleRef};
@@ -74,11 +73,6 @@ impl AggregatorFactory for AggFactory {
     }
 }
 
-fn eval_arg(arg: &RtExpr, t: &TupleRef<'_>) -> Result<Item, DataflowError> {
-    arg.eval(t)
-        .map_err(|e: EngineError| DataflowError::Eval(e.to_string()))
-}
-
 /// `count`: counts items (a per-tuple empty sequence contributes 0).
 struct CountAgg {
     arg: RtExpr,
@@ -87,8 +81,7 @@ struct CountAgg {
 
 impl Aggregator for CountAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        self.n += v.sequence_len() as i64;
+        self.n += self.arg.eval(t)?.view().sequence_len() as i64;
         Ok(())
     }
 
@@ -108,12 +101,8 @@ struct SumAgg {
 
 impl Aggregator for SumAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        for it in v.iter_sequence() {
-            let n = it.as_number().ok_or_else(|| {
-                DataflowError::Eval(format!("sum aggregate over non-number {it}"))
-            })?;
-            self.total = self.total.add(n);
+        for it in self.arg.eval(t)?.view().iter_sequence() {
+            self.total = self.total.add(number_or_err(it, "sum aggregate")?);
             self.any = true;
         }
         Ok(())
@@ -136,12 +125,8 @@ struct AvgAgg {
 
 impl Aggregator for AvgAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        for it in v.iter_sequence() {
-            let x = it.as_number().ok_or_else(|| {
-                DataflowError::Eval(format!("avg aggregate over non-number {it}"))
-            })?;
-            self.total = self.total.add(x);
+        for it in self.arg.eval(t)?.view().iter_sequence() {
+            self.total = self.total.add(number_or_err(it, "avg aggregate")?);
             self.n += 1;
         }
         Ok(())
@@ -172,15 +157,14 @@ struct MergeAvgAgg {
 
 impl Aggregator for MergeAvgAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        for it in v.iter_sequence() {
+        for it in self.arg.eval(t)?.view().iter_sequence() {
             let sum = it
                 .get_key("sum")
-                .and_then(Item::as_number)
+                .and_then(View::as_number)
                 .ok_or_else(|| DataflowError::Eval("avg partial missing sum".into()))?;
             let count = it
                 .get_key("count")
-                .and_then(Item::as_number)
+                .and_then(View::as_number)
                 .and_then(Number::as_i64)
                 .ok_or_else(|| DataflowError::Eval("avg partial missing count".into()))?;
             self.total = self.total.add(sum);
@@ -209,8 +193,8 @@ struct MinMaxAgg {
 
 impl Aggregator for MinMaxAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        for it in v.iter_sequence() {
+        for it in self.arg.eval(t)?.view().iter_sequence() {
+            let it = it.to_item()?;
             let better = match &self.best {
                 None => true,
                 Some(b) => {
@@ -220,7 +204,7 @@ impl Aggregator for MinMaxAgg {
                 }
             };
             if better {
-                self.best = Some(it.clone());
+                self.best = Some(it);
             }
         }
         Ok(())
@@ -244,9 +228,8 @@ struct SeqAgg {
 
 impl Aggregator for SeqAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        for it in v.iter_sequence() {
-            self.items.push(it.clone());
+        for it in self.arg.eval(t)?.view().iter_sequence() {
+            self.items.push(it.to_item()?);
         }
         Ok(())
     }

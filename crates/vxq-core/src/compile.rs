@@ -22,7 +22,7 @@
 use crate::aggs::AggFactory;
 use crate::error::{EngineError, Result};
 use crate::pool::ScanBufferPool;
-use crate::rtexpr::{RtExpr, EXTRA_FIELD};
+use crate::rtexpr::{for_each_key_or_member, number_or_err, RtExpr, Val, EXTRA_FIELD};
 use crate::scan::{
     resolve_collection, EmptyTupleSourceFactory, JsonDocScanFactory, ProjectedScanFactory,
     ScanOptions, WholeCollectionScanFactory,
@@ -39,7 +39,7 @@ use dataflow::ops::{
     SelectOp, UnnestOp,
 };
 use dataflow::{DataflowError, TaskContext, TupleRef};
-use jdm::binary::{write_item, ItemRef};
+use jdm::binary::write_item;
 use jdm::Item;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -211,7 +211,11 @@ fn build_chain(
                 writer,
             )),
             StepSpec::Unnest { kind, arg } => Box::new(UnnestOp::new(
-                Box::new(UnnestEval { kind, arg }),
+                Box::new(UnnestEval {
+                    kind,
+                    arg,
+                    buf: Vec::new(),
+                }),
                 ctx.frame_size,
                 writer,
             )),
@@ -271,11 +275,7 @@ struct ExprEval(RtExpr);
 
 impl ScalarEvaluator for ExprEval {
     fn eval(&mut self, tuple: &TupleRef<'_>, out: &mut Vec<u8>) -> dataflow::Result<()> {
-        let item = self
-            .0
-            .eval(tuple)
-            .map_err(|e| DataflowError::Eval(e.to_string()))?;
-        write_item(&item, out);
+        self.0.eval(tuple)?.write(out);
         Ok(())
     }
 }
@@ -284,6 +284,8 @@ impl ScalarEvaluator for ExprEval {
 struct UnnestEval {
     kind: UnnestKind,
     arg: RtExpr,
+    /// Scratch for one emitted item, reused across tuples.
+    buf: Vec<u8>,
 }
 
 impl UnnestEvaluator for UnnestEval {
@@ -292,29 +294,20 @@ impl UnnestEvaluator for UnnestEval {
         tuple: &TupleRef<'_>,
         emit: &mut dyn FnMut(&[u8]) -> dataflow::Result<()>,
     ) -> dataflow::Result<()> {
-        let base = self
-            .arg
-            .eval(tuple)
-            .map_err(|e| DataflowError::Eval(e.to_string()))?;
-        let mut buf = Vec::new();
+        let base = self.arg.eval(tuple)?;
+        let buf = &mut self.buf;
+        let mut emit_one = |v: Val<'_>| {
+            buf.clear();
+            v.write(buf);
+            emit(buf)
+        };
         match self.kind {
-            UnnestKind::Iterate => {
-                for it in base.iter_sequence() {
-                    buf.clear();
-                    write_item(it, &mut buf);
-                    emit(&buf)?;
-                }
-            }
-            UnnestKind::KeysOrMembers => {
-                let kom = crate::rtexpr::keys_or_members(&base);
-                for it in kom.iter_sequence() {
-                    buf.clear();
-                    write_item(it, &mut buf);
-                    emit(&buf)?;
-                }
-            }
+            UnnestKind::Iterate => base
+                .view()
+                .iter_sequence()
+                .try_for_each(|it| emit_one(Val::Borrowed(it))),
+            UnnestKind::KeysOrMembers => for_each_key_or_member(base.view(), &mut emit_one),
         }
-        Ok(())
     }
 }
 
@@ -328,31 +321,23 @@ struct SubplanAggEval {
 
 impl ScalarEvaluator for SubplanAggEval {
     fn eval(&mut self, tuple: &TupleRef<'_>, out: &mut Vec<u8>) -> dataflow::Result<()> {
-        let seq = self
-            .seq
-            .eval(tuple)
-            .map_err(|e| DataflowError::Eval(e.to_string()))?;
+        let seq = self.seq.eval(tuple)?;
         let mut count = 0i64;
         let mut sum = jdm::Number::Int(0);
         let mut n = 0i64;
         let mut best: Option<Item> = None;
         let mut items: Vec<Item> = Vec::new();
-        for member in seq.iter_sequence() {
-            let v = self
-                .arg
-                .eval_with(tuple, Some(member))
-                .map_err(|e| DataflowError::Eval(e.to_string()))?;
-            for it in v.iter_sequence() {
+        for member in seq.view().iter_sequence() {
+            let v = self.arg.eval_with(tuple, Some(member))?;
+            for it in v.view().iter_sequence() {
                 count += 1;
                 match self.func {
                     AggFunc::Sum | AggFunc::Avg => {
-                        let x = it.as_number().ok_or_else(|| {
-                            DataflowError::Eval(format!("aggregate over non-number {it}"))
-                        })?;
-                        sum = sum.add(x);
+                        sum = sum.add(number_or_err(it, "aggregate")?);
                         n += 1;
                     }
                     AggFunc::Min | AggFunc::Max => {
+                        let it = it.to_item()?;
                         let better = match &best {
                             None => true,
                             Some(b) => {
@@ -362,10 +347,10 @@ impl ScalarEvaluator for SubplanAggEval {
                             }
                         };
                         if better {
-                            best = Some(it.clone());
+                            best = Some(it);
                         }
                     }
-                    AggFunc::Sequence => items.push(it.clone()),
+                    AggFunc::Sequence => items.push(it.to_item()?),
                     _ => {}
                 }
             }
@@ -1106,11 +1091,6 @@ fn decompose_group_agg(nested: &LogicalOp) -> Result<(VarId, AggFunc, &LogicalEx
         ));
     }
     Ok((*var, *func, arg))
-}
-
-// Decode helper used by tests and the engine's row printing.
-pub(crate) fn _decode_item(bytes: &[u8]) -> Option<Item> {
-    ItemRef::new(bytes).ok()?.to_item().ok()
 }
 
 #[cfg(test)]

@@ -51,10 +51,10 @@ use dataflow::context::TaskContext;
 use dataflow::ops::eval::{ScanSource, ScanSourceFactory, TupleEmitter};
 use dataflow::profile::SplitProfile;
 use dataflow::{DataflowError, MemTracker, Result};
-use jdm::binary::{to_bytes, write_item};
+use jdm::binary::to_bytes;
 use jdm::index::StructuralIndex;
 use jdm::parse::parse_item;
-use jdm::project::{project_indexed, RecordTable};
+use jdm::project::{project_indexed_binary, RecordTable};
 use jdm::stage1::Stage1Mode;
 use jdm::{Item, PathStep, ProjectionPath};
 use std::collections::HashMap;
@@ -321,26 +321,22 @@ struct ProjectedScan {
 
 impl ScanSource for ProjectedScan {
     fn run(&mut self, emit: &mut TupleEmitter<'_>) -> Result<()> {
-        let mut item_bytes = Vec::new();
         for split in &self.splits {
             let started = Instant::now();
             let mut tuples = 0u64;
             let mut err = None;
             let src_err =
                 |e: jdm::JdmError| DataflowError::Source(format!("{}: {e}", split.path.display()));
-            // The emitting sink shared by all text paths below.
-            let mut sink = |item: Item| {
-                item_bytes.clear();
-                write_item(&item, &mut item_bytes);
-                match emit(&[&item_bytes]) {
-                    Ok(()) => {
-                        tuples += 1;
-                        true
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        false
-                    }
+            // The emitting sink shared by all text paths below: each item
+            // arrives already serialized, written straight from the tape.
+            let mut sink = |item: &[u8]| match emit(&[item]) {
+                Ok(()) => {
+                    tuples += 1;
+                    true
+                }
+                Err(e) => {
+                    err = Some(e);
+                    false
                 }
             };
 
@@ -385,12 +381,13 @@ impl ScanSource for ProjectedScan {
                 records = match &table {
                     Some(t) => {
                         let n = t.len();
-                        t.project_range(&buf, &index, &self.project, 0..n, &mut sink)
+                        t.project_range_binary(&buf, &index, &self.project, 0..n, &mut sink)
                             .map_err(src_err)?;
                         n as u64
                     }
                     None => {
-                        project_indexed(&buf, &index, &self.project, &mut sink).map_err(src_err)?;
+                        project_indexed_binary(&buf, &index, &self.project, &mut sink)
+                            .map_err(src_err)?;
                         tuples
                     }
                 };
@@ -415,7 +412,7 @@ impl ScanSource for ProjectedScan {
                 let hi = n * (split.split + 1) / split.of;
                 shared
                     .table
-                    .project_range(
+                    .project_range_binary(
                         &shared.bytes,
                         &shared.index,
                         &self.project,

@@ -197,3 +197,24 @@ fn deeply_nested_input_does_not_overflow() {
     let r = e.execute(queries::Q0).unwrap();
     assert!(r.rows.is_empty());
 }
+
+#[test]
+fn bad_data_is_an_evaluation_error_not_a_compile_error() {
+    let root = scratch("bad-date");
+    let dir = root.join("sensors/node0");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("a.json"),
+        br#"{"root": [{"results": [{"date": "not-a-date", "dataType": "TMIN", "station": "S1", "value": 1}]}]}"#,
+    )
+    .unwrap();
+    let e = engine_at(root);
+    match e.execute(queries::Q0) {
+        Err(EngineError::Execute(err)) => {
+            let msg = err.to_string();
+            assert!(!msg.contains("compile error"), "{msg}");
+            assert!(msg.contains("not-a-date"), "{msg}");
+        }
+        other => panic!("expected an execution error, got {other:?}"),
+    }
+}
