@@ -54,6 +54,7 @@ impl Frame {
     }
 
     /// Zero-copy access to tuple `i`.
+    #[inline]
     pub fn tuple(&self, i: usize) -> TupleRef<'_> {
         debug_assert!(i < self.tuple_count());
         let start = if i == 0 { 0 } else { self.tuple_end(i - 1) };
@@ -116,6 +117,7 @@ impl<'a> TupleRef<'a> {
     }
 
     /// Raw bytes of field `i` (a serialized [`jdm::binary`] item).
+    #[inline]
     pub fn field(&self, i: usize) -> &'a [u8] {
         debug_assert!(
             i < self.field_count(),
@@ -186,28 +188,34 @@ impl FrameAppender {
         self.ends.is_empty()
     }
 
+    /// Whether a tuple of `tsize` bytes fits now: `Ok(false)` when the
+    /// frame is full (caller should [`FrameAppender::take_frame`] and
+    /// retry), `Err` when it can never fit and big frames are disabled.
+    fn fits(&self, tsize: usize) -> Result<bool> {
+        let needed = self.data.len() + tsize + Self::trailer_size(self.ends.len() + 1);
+        if needed <= self.capacity {
+            return Ok(true);
+        }
+        if tsize + Self::trailer_size(1) > self.capacity {
+            // Oversized tuple: only representable as a big frame.
+            if !self.allow_big {
+                return Err(DataflowError::TupleTooLarge {
+                    tuple: tsize,
+                    capacity: self.capacity,
+                });
+            }
+            // Flush the current frame first; alone, it gets a big frame.
+            return Ok(self.is_empty());
+        }
+        Ok(false)
+    }
+
     /// Try to append; returns `Ok(false)` when the frame is full (caller
     /// should [`FrameAppender::take_frame`] and retry), `Err` when a single
     /// tuple can never fit and big frames are disabled.
     pub fn append(&mut self, fields: &[&[u8]]) -> Result<bool> {
-        let tsize = Self::tuple_size(fields);
-        let needed = self.data.len() + tsize + Self::trailer_size(self.ends.len() + 1);
-        if needed > self.capacity {
-            if tsize + Self::trailer_size(1) > self.capacity {
-                // Oversized tuple: only representable as a big frame.
-                if !self.allow_big {
-                    return Err(DataflowError::TupleTooLarge {
-                        tuple: tsize,
-                        capacity: self.capacity,
-                    });
-                }
-                if !self.is_empty() {
-                    return Ok(false); // flush current frame first
-                }
-                // fall through: single big tuple in an oversized frame
-            } else {
-                return Ok(false);
-            }
+        if !self.fits(Self::tuple_size(fields))? {
+            return Ok(false);
         }
         self.data
             .extend_from_slice(&(fields.len() as u16).to_le_bytes());
@@ -223,25 +231,41 @@ impl FrameAppender {
         Ok(true)
     }
 
+    /// Append `base`'s fields followed by `extra` — the bytes
+    /// [`FrameAppender::append`] writes for that field list, built without
+    /// collecting it: the base's field ends carry over (they are relative
+    /// to the end of the header) and its data is copied in one piece.
+    pub fn append_extended<'e, I>(&mut self, base: &TupleRef<'_>, extra: I) -> Result<bool>
+    where
+        I: ExactSizeIterator<Item = &'e [u8]> + Clone,
+    {
+        let n = base.field_count();
+        let header = base.header_len();
+        let (base_ends, base_data) = base.bytes()[2..].split_at(header - 2);
+        let extra_len: usize = extra.clone().map(<[u8]>::len).sum();
+        let count = n + extra.len();
+        if !self.fits(2 + 4 * count + base_data.len() + extra_len)? {
+            return Ok(false);
+        }
+        self.data.extend_from_slice(&(count as u16).to_le_bytes());
+        self.data.extend_from_slice(base_ends);
+        let mut end = base_data.len() as u32;
+        for f in extra.clone() {
+            end += f.len() as u32;
+            self.data.extend_from_slice(&end.to_le_bytes());
+        }
+        self.data.extend_from_slice(base_data);
+        for f in extra {
+            self.data.extend_from_slice(f);
+        }
+        self.ends.push(self.data.len() as u32);
+        Ok(true)
+    }
+
     /// Copy a whole existing tuple (used by repartitioners and unions).
     pub fn append_tuple(&mut self, t: &TupleRef<'_>) -> Result<bool> {
-        // Re-append raw: reconstruct field slices to reuse append's sizing.
-        let tsize = t.bytes().len();
-        let needed = self.data.len() + tsize + Self::trailer_size(self.ends.len() + 1);
-        if needed > self.capacity {
-            if tsize + Self::trailer_size(1) > self.capacity {
-                if !self.allow_big {
-                    return Err(DataflowError::TupleTooLarge {
-                        tuple: tsize,
-                        capacity: self.capacity,
-                    });
-                }
-                if !self.is_empty() {
-                    return Ok(false);
-                }
-            } else {
-                return Ok(false);
-            }
+        if !self.fits(t.bytes().len())? {
+            return Ok(false);
         }
         self.data.extend_from_slice(t.bytes());
         self.ends.push(self.data.len() as u32);
@@ -389,6 +413,45 @@ mod tests {
         for i in 0..3 {
             assert_eq!(t.field(i), t2.field(i));
         }
+    }
+
+    #[test]
+    fn append_extended_writes_the_bytes_of_the_joined_field_list() {
+        let base_fields = [field(1, 3), field(2, 0), field(3, 5)];
+        let extras = [field(4, 6), field(5, 0), field(6, 2)];
+        for nbase in 0..=base_fields.len() {
+            for nextra in 0..=extras.len() {
+                let base: Vec<&[u8]> = base_fields[..nbase].iter().map(Vec::as_slice).collect();
+                let extra: Vec<&[u8]> = extras[..nextra].iter().map(Vec::as_slice).collect();
+                let mut src = FrameAppender::new(256);
+                assert!(src.append(&base).unwrap());
+                let src = src.take_frame().unwrap();
+
+                let mut joined = base.clone();
+                joined.extend(&extra);
+                let mut expected = FrameAppender::new(256);
+                assert!(expected.append(&joined).unwrap());
+                let mut got = FrameAppender::new(256);
+                assert!(got
+                    .append_extended(&src.tuple(0), extra.iter().copied())
+                    .unwrap());
+                assert_eq!(
+                    got.take_frame().unwrap().bytes,
+                    expected.take_frame().unwrap().bytes,
+                    "{nbase} base fields + {nextra} extras"
+                );
+            }
+        }
+        // A frame that cannot take the tuple asks for a flush, as `append`.
+        let mut src = FrameAppender::new(256);
+        src.append(&[&field(1, 40)]).unwrap();
+        let src = src.take_frame().unwrap();
+        let mut app = FrameAppender::new(64);
+        assert!(app.append(&[&field(9, 20)]).unwrap());
+        let extra = field(2, 10);
+        assert!(!app
+            .append_extended(&src.tuple(0), std::iter::once(extra.as_slice()))
+            .unwrap());
     }
 
     #[test]

@@ -21,6 +21,50 @@ pub trait ScalarEvaluatorFactory: Send + Sync {
     fn create(&self) -> Box<dyn ScalarEvaluator>;
 }
 
+/// A fused run of ASSIGN and SELECT steps, evaluated over one tuple at a
+/// time (see [`super::FusedOp`]).
+pub trait TupleProgram: Send {
+    /// Evaluate over `tuple`. Returns `false` when a select step drops the
+    /// tuple; otherwise appends one serialized item per assign step to
+    /// `fields`, in step order.
+    fn eval(&mut self, tuple: &TupleRef<'_>, fields: &mut NewFields) -> Result<bool>;
+}
+
+/// The fields a [`TupleProgram`] adds to its input tuple, serialized back
+/// to back in one reused buffer.
+#[derive(Debug, Default)]
+pub struct NewFields {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl NewFields {
+    /// Forget the previous tuple's fields (keeps the buffers).
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    /// Append one field: `write` serializes exactly one item.
+    pub fn push(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        write(&mut self.bytes);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// True when no field was added.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The fields, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + Clone + '_ {
+        self.ends.iter().enumerate().map(move |(i, &end)| {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            &self.bytes[start..end]
+        })
+    }
+}
+
 /// Evaluates an unnesting expression over one tuple, emitting zero or more
 /// serialized items.
 pub trait UnnestEvaluator: Send {

@@ -10,26 +10,25 @@
 //! objects defined in [`eval`].
 
 pub mod aggregate;
-pub mod assign;
 pub mod eval;
+pub mod fused;
 pub mod groupby;
 pub mod join;
 pub mod project;
-pub mod select;
 pub mod sink;
 pub mod sort;
 pub mod source;
 pub mod unnest;
 
 pub use aggregate::AggregateOp;
-pub use assign::AssignOp;
 pub use eval::{
-    Aggregator, AggregatorFactory, ScalarEvaluator, ScanSource, TupleEmitter, UnnestEvaluator,
+    Aggregator, AggregatorFactory, NewFields, ScalarEvaluator, ScanSource, TupleEmitter,
+    TupleProgram, UnnestEvaluator,
 };
+pub use fused::FusedOp;
 pub use groupby::{HashGroupByOp, MaterializingGroupByOp};
 pub use join::HashJoinOp;
 pub use project::ProjectOp;
-pub use select::SelectOp;
 pub use sink::CollectorWriter;
 pub use sort::SortOp;
 pub use source::run_source;
@@ -98,12 +97,17 @@ impl OutBuffer {
     }
 
     /// Append a tuple made of an existing tuple's fields plus extras.
-    /// This is the common ASSIGN/UNNEST output shape: input ++ new field.
-    pub fn push_extended(&mut self, base: &TupleRef<'_>, extra: &[&[u8]]) -> Result<()> {
-        let mut fields: Vec<&[u8]> = Vec::with_capacity(base.field_count() + extra.len());
-        fields.extend(base.fields());
-        fields.extend_from_slice(extra);
-        self.push_fields(&fields)
+    /// This is the common ASSIGN/UNNEST output shape: input ++ new fields.
+    pub fn push_extended<'e, I>(&mut self, base: &TupleRef<'_>, extra: I) -> Result<()>
+    where
+        I: ExactSizeIterator<Item = &'e [u8]> + Clone,
+    {
+        loop {
+            if self.app.append_extended(base, extra.clone())? {
+                return Ok(());
+            }
+            self.flush()?;
+        }
     }
 
     /// Send any buffered tuples downstream now.

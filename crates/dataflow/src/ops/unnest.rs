@@ -39,7 +39,7 @@ impl FrameWriter for UnnestOp {
         for t in frame.tuples() {
             let out = &mut self.out;
             self.eval
-                .eval(&t, &mut |item_bytes| out.push_extended(&t, &[item_bytes]))?;
+                .eval(&t, &mut |item| out.push_extended(&t, std::iter::once(item)))?;
         }
         Ok(())
     }

@@ -58,11 +58,7 @@ pub fn write_item(item: &Item, out: &mut Vec<u8>) {
         Item::Boolean(b) => write_bool(*b, out),
         Item::Number(n) => write_number(*n, out),
         Item::String(s) => write_string(s.as_bytes(), out),
-        Item::DateTime(d) => {
-            out.push(tag::DATETIME);
-            out.extend_from_slice(&d.year.to_le_bytes());
-            out.extend_from_slice(&[d.month, d.day, d.hour, d.minute, d.second]);
-        }
+        Item::DateTime(d) => write_datetime(*d, out),
         Item::Array(members) => write_listlike(tag::ARRAY, members, out),
         Item::Sequence(members) => write_listlike(tag::SEQUENCE, members, out),
         Item::Object(pairs) => {
@@ -87,12 +83,12 @@ fn write_listlike(t: u8, members: &[Item], out: &mut Vec<u8>) {
 }
 
 /// A boolean item.
-pub(crate) fn write_bool(b: bool, out: &mut Vec<u8>) {
+pub fn write_bool(b: bool, out: &mut Vec<u8>) {
     out.push(if b { tag::TRUE } else { tag::FALSE });
 }
 
 /// A number item.
-pub(crate) fn write_number(n: Number, out: &mut Vec<u8>) {
+pub fn write_number(n: Number, out: &mut Vec<u8>) {
     match n {
         Number::Int(i) => {
             out.push(tag::INT);
@@ -106,9 +102,16 @@ pub(crate) fn write_number(n: Number, out: &mut Vec<u8>) {
 }
 
 /// A string item from its UTF-8 bytes.
-pub(crate) fn write_string(s: &[u8], out: &mut Vec<u8>) {
+pub fn write_string(s: &[u8], out: &mut Vec<u8>) {
     out.push(tag::STRING);
     write_len_prefixed(s, out);
+}
+
+/// A dateTime item.
+pub fn write_datetime(d: DateTime, out: &mut Vec<u8>) {
+    out.push(tag::DATETIME);
+    out.extend_from_slice(&d.year.to_le_bytes());
+    out.extend_from_slice(&[d.month, d.day, d.hour, d.minute, d.second]);
 }
 
 /// `u32 len, bytes` — a string payload or an object key.
@@ -190,6 +193,7 @@ pub fn to_bytes(item: &Item) -> Vec<u8> {
 
 /// Total serialized length of the item starting at `buf[0]`, without
 /// walking its contents (O(1) for every type).
+#[inline]
 pub fn item_len(buf: &[u8]) -> Result<usize> {
     let t = *buf
         .first()
@@ -224,6 +228,7 @@ pub struct ItemRef<'a> {
 impl<'a> ItemRef<'a> {
     /// Wrap a buffer whose first byte is an item tag. Validates only the
     /// outermost envelope; nested structure is validated lazily.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Result<Self> {
         let len = item_len(buf)?;
         Ok(ItemRef { buf: &buf[..len] })
@@ -247,6 +252,7 @@ impl<'a> ItemRef<'a> {
     }
 
     /// String payload.
+    #[inline]
     pub fn as_str(&self) -> Option<&'a str> {
         if self.tag() != tag::STRING {
             return None;
@@ -256,6 +262,7 @@ impl<'a> ItemRef<'a> {
     }
 
     /// Numeric payload.
+    #[inline]
     pub fn as_number(&self) -> Option<Number> {
         match self.tag() {
             tag::INT => Some(Number::Int(i64::from_le_bytes(
@@ -278,6 +285,7 @@ impl<'a> ItemRef<'a> {
     }
 
     /// DateTime payload.
+    #[inline]
     pub fn as_datetime(&self) -> Option<DateTime> {
         if self.tag() != tag::DATETIME {
             return None;
@@ -294,6 +302,7 @@ impl<'a> ItemRef<'a> {
     }
 
     /// Member / pair count for arrays, objects and sequences.
+    #[inline]
     pub fn count(&self) -> Option<usize> {
         match self.tag() {
             tag::ARRAY | tag::OBJECT | tag::SEQUENCE => Some(read_u32(self.buf, 5).ok()? as usize),
@@ -323,6 +332,7 @@ impl<'a> ItemRef<'a> {
     /// Object key lookup (first occurrence wins, matching the tree model).
     /// Keys are compared as raw bytes: byte equality with a `&str` is
     /// string equality, so no probed key needs UTF-8 validation.
+    #[inline]
     pub fn get_key(&self, key: &str) -> Option<ItemRef<'a>> {
         if self.tag() != tag::OBJECT {
             return None;
@@ -349,6 +359,7 @@ impl<'a> ItemRef<'a> {
 
     /// The unvalidated key bytes of object pair `idx` and the offset of
     /// its value.
+    #[inline]
     fn raw_pair(&self, idx: usize) -> Option<(&'a [u8], usize)> {
         let off = read_u32(self.buf, self.table_start() + 4 * idx).ok()? as usize;
         let start = self.data_start()? + off;

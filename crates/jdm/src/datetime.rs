@@ -11,6 +11,9 @@
 //!   middle pair cannot be a month (i.e. > 12), so that valid ISO compact
 //!   dates are never mis-read.
 //!
+//! Every numeric field is ASCII digits, so signed or padded fields such as
+//! `+1` are rejected.
+//!
 //! Time zones are out of scope: the evaluation data has none.
 
 use crate::error::{JdmError, Result};
@@ -60,34 +63,49 @@ impl DateTime {
         Ok(dt)
     }
 
-    /// Parse any of the accepted formats (see module docs).
+    /// Parse any of the accepted formats (see module docs). Every numeric
+    /// field is ASCII digits: no sign, no space.
     pub fn parse(s: &str) -> Result<Self> {
         let bad = || JdmError::BadDateTime(s.to_string());
         let b = s.as_bytes();
-        // Split date / time on 'T'.
-        let t = s.find('T').ok_or_else(bad)?;
-        let (date, time) = (&s[..t], &s[t + 1..]);
-        let (hour, minute, second) = parse_time(time).ok_or_else(bad)?;
-        if date.len() == 10 && b[4] == b'-' && b[7] == b'-' {
-            // YYYY-MM-DD
-            let year: i32 = date[..4].parse().map_err(|_| bad())?;
-            let month: u8 = date[5..7].parse().map_err(|_| bad())?;
-            let day: u8 = date[8..10].parse().map_err(|_| bad())?;
-            return DateTime::new(year, month, day, hour, minute, second);
+        // The date ends at the `T`: 8 bytes compact, 10 dashed; the time
+        // is `HH:MM` (5 bytes) or `HH:MM:SS` (8).
+        let (dashed, t) = match b.len() {
+            14 | 17 => (false, 8),
+            16 | 19 => (true, 10),
+            _ => return Err(bad()),
+        };
+        let digit = |i: usize| {
+            let d = b[i].wrapping_sub(b'0');
+            (d < 10).then_some(d)
+        };
+        let two = |i: usize| Some(digit(i)? * 10 + digit(i + 1)?);
+        let fields = || {
+            let year = i32::from(two(0)?) * 100 + i32::from(two(2)?);
+            let (mid, last) = if dashed {
+                (b[4] == b'-' && b[7] == b'-').then_some(())?;
+                (two(5)?, two(8)?)
+            } else {
+                (two(4)?, two(6)?)
+            };
+            (b[t] == b'T' && b[t + 3] == b':').then_some(())?;
+            let (hour, minute) = (two(t + 1)?, two(t + 4)?);
+            let second = if b.len() - t == 9 {
+                (b[t + 6] == b':').then_some(())?;
+                two(t + 7)?
+            } else {
+                0
+            };
+            Some((year, mid, last, hour, minute, second))
+        };
+        let (year, mid, last, hour, minute, second) = fields().ok_or_else(bad)?;
+        // YYYY-MM-DD, or YYYYMMDD; fall back to the paper's YYYYDDMM
+        // ordering when the middle pair cannot be a month.
+        if dashed || (1..=12).contains(&mid) {
+            return DateTime::new(year, mid, last, hour, minute, second);
         }
-        if date.len() == 8 && date.bytes().all(|c| c.is_ascii_digit()) {
-            let year: i32 = date[..4].parse().map_err(|_| bad())?;
-            let mid: u8 = date[4..6].parse().map_err(|_| bad())?;
-            let last: u8 = date[6..8].parse().map_err(|_| bad())?;
-            // Prefer YYYYMMDD; fall back to the paper's YYYYDDMM ordering
-            // when the middle pair cannot be a month.
-            if (1..=12).contains(&mid) {
-                return DateTime::new(year, mid, last, hour, minute, second);
-            }
-            if (1..=12).contains(&last) {
-                return DateTime::new(year, last, mid, hour, minute, second);
-            }
-            return Err(bad());
+        if (1..=12).contains(&last) {
+            return DateTime::new(year, last, mid, hour, minute, second);
         }
         Err(bad())
     }
@@ -143,19 +161,6 @@ pub fn days_in_month(year: i32, month: u8) -> u8 {
     }
 }
 
-fn parse_time(t: &str) -> Option<(u8, u8, u8)> {
-    let b = t.as_bytes();
-    match b.len() {
-        5 if b[2] == b':' => Some((t[..2].parse().ok()?, t[3..5].parse().ok()?, 0)),
-        8 if b[2] == b':' && b[5] == b':' => Some((
-            t[..2].parse().ok()?,
-            t[3..5].parse().ok()?,
-            t[6..8].parse().ok()?,
-        )),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +185,39 @@ mod tests {
         // "20132512T00:00" from Listing 6: day 25, month 12.
         let d = DateTime::parse("20132512T00:00").unwrap();
         assert_eq!((d.year, d.month, d.day), (2013, 12, 25));
+    }
+
+    #[test]
+    fn fields_are_ascii_digits_only() {
+        for s in [
+            "20131225T+1:00",
+            "2013-+1-25T00:00",
+            "+013-12-25T00:00",
+            "-001-12-25T00:00",
+            "20131225T 1:00",
+            "20131225T00:00:0",
+            "20131225T00:00Z",
+            "2013122500:00",
+            "2013-12-25T00:00:00:00",
+            "2013\u{e9}25T00:00",
+            "",
+            "T",
+        ] {
+            assert_eq!(
+                DateTime::parse(s),
+                Err(JdmError::BadDateTime(s.to_string())),
+                "{s:?}"
+            );
+        }
+        // Well-formed fields out of range keep the range error.
+        assert_eq!(
+            DateTime::parse("2013-13-25T00:00"),
+            Err(JdmError::BadDateTime("month 13 out of range".into()))
+        );
+        assert_eq!(
+            DateTime::parse("20131225T00:00:60"),
+            Err(JdmError::BadDateTime("time 0:0:60 out of range".into()))
+        );
     }
 
     #[test]

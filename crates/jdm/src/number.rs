@@ -52,6 +52,7 @@ impl Number {
     }
 
     /// Numeric comparison under promotion; NaN sorts after everything.
+    #[inline]
     pub fn num_cmp(self, other: Number) -> Ordering {
         match (self, other) {
             (Number::Int(a), Number::Int(b)) => a.cmp(&b),

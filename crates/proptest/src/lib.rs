@@ -10,11 +10,43 @@
 //!
 //! Semantics: each test runs `cases` iterations with values drawn from a
 //! deterministic per-test RNG (seeded from the test name), so failures are
-//! reproducible run-to-run. Unlike real proptest there is no shrinking —
+//! reproducible run-to-run. The `PROPTEST_SEED` environment variable — a
+//! number, or `random` for a fresh one per process — is mixed into every
+//! per-test seed, so a CI leg can explore new cases; a failing case prints
+//! the seed to replay it with. Unlike real proptest there is no shrinking —
 //! on failure the offending inputs are printed verbatim.
 
 use std::ops::Range;
 use std::rc::Rc;
+use std::sync::OnceLock;
+
+/// The run seed from `PROPTEST_SEED`: 0 (the default, also when unset)
+/// keeps each test's name-derived stream; any other value is mixed into
+/// every per-test seed. `random` draws a seed per process.
+pub fn run_seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| match std::env::var("PROPTEST_SEED") {
+        Err(_) => 0,
+        Ok(v) if v.trim().is_empty() => 0,
+        Ok(v) if v.trim() == "random" => random_seed(),
+        Ok(v) => v
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("PROPTEST_SEED must be a number or `random`, got {v:?}")),
+    })
+}
+
+/// A non-zero seed from the clock and the process's hash randomness.
+fn random_seed() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    let mut h = std::collections::hash_map::RandomState::new().build_hasher();
+    let now = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos());
+    h.write_u128(now);
+    h.write_u32(std::process::id());
+    h.finish().max(1)
+}
 
 /// Deterministic generator: SplitMix64.
 pub struct TestRng {
@@ -22,12 +54,21 @@ pub struct TestRng {
 }
 
 impl TestRng {
-    /// Seed from a test name so every test has its own reproducible stream.
+    /// Seed from a test name so every test has its own reproducible stream,
+    /// mixed with the [`run_seed`].
     pub fn for_test(name: &str) -> Self {
+        Self::for_test_with(name, run_seed())
+    }
+
+    /// Seed from a test name and a run seed (0 leaves the name's stream).
+    pub fn for_test_with(name: &str, run_seed: u64) -> Self {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in name.bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        if run_seed != 0 {
+            h ^= TestRng { state: run_seed }.next_u64();
         }
         TestRng { state: h }
     }
@@ -422,8 +463,9 @@ macro_rules! proptest {
                 }));
                 if let Err(payload) = result {
                     eprintln!(
-                        "proptest: case {case} of {} failed with inputs:\n{inputs}",
-                        stringify!($name)
+                        "proptest: case {case} of {} failed (PROPTEST_SEED={}) with inputs:\n{inputs}",
+                        stringify!($name),
+                        $crate::run_seed(),
                     );
                     ::std::panic::resume_unwind(payload);
                 }
@@ -474,6 +516,19 @@ mod tests {
             seen[s.new_value(&mut rng) as usize] = true;
         }
         assert_eq!(&seen[1..], &[true, true, true]);
+    }
+
+    #[test]
+    fn run_seed_zero_keeps_the_name_stream_and_others_change_it() {
+        let draw = |seed| crate::TestRng::for_test_with("t", seed).next_u64();
+        let mut plain = crate::TestRng::for_test_with("t", 0);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        h ^= b't' as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        assert_eq!(plain.next_u64(), crate::TestRng { state: h }.next_u64());
+        assert_ne!(draw(0), draw(1));
+        assert_ne!(draw(1), draw(2));
+        assert_eq!(draw(7), draw(7));
     }
 
     #[test]

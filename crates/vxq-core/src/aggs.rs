@@ -1,12 +1,13 @@
 //! Incremental aggregators and their two-step (partial/merge) forms.
 //!
-//! Each aggregator evaluates an argument expression per input tuple and
-//! folds the resulting items into its state — the post-group-by-rules
+//! Each aggregator runs its argument's program per input tuple and folds
+//! the resulting items into its state — the post-group-by-rules
 //! execution model ("incrementally calculate ... as each item of the
 //! sequence is fetched", §4.3). The `Merge*` forms implement the second
 //! step of Algebricks' two-step aggregation: partials computed per
 //! partition, merged at the destination partition.
 
+use crate::program::{Evaluator, Program};
 use crate::rtexpr::{number_or_err, RtExpr, View};
 use algebra::expr::AggFunc;
 use dataflow::ops::eval::{Aggregator, AggregatorFactory};
@@ -14,59 +15,68 @@ use dataflow::{DataflowError, TupleRef};
 use jdm::binary::write_item;
 use jdm::{Item, Number};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Factory producing one aggregator per group / partition.
 pub struct AggFactory {
     pub func: AggFunc,
-    pub arg: RtExpr,
+    /// The argument, lowered once and shared by every aggregator.
+    pub arg: Arc<Program>,
+}
+
+impl AggFactory {
+    pub fn new(func: AggFunc, arg: &RtExpr) -> Self {
+        AggFactory {
+            func,
+            arg: Arc::new(Program::expr(arg)),
+        }
+    }
 }
 
 impl AggregatorFactory for AggFactory {
     fn create(&self) -> Box<dyn Aggregator> {
+        let arg = || Evaluator::new(self.arg.clone());
         match self.func {
-            AggFunc::Count => Box::new(CountAgg {
-                arg: self.arg.clone(),
-                n: 0,
-            }),
+            AggFunc::Count => Box::new(CountAgg { arg: arg(), n: 0 }),
             AggFunc::MergeCount | AggFunc::MergeSum => Box::new(SumAgg {
-                arg: self.arg.clone(),
+                arg: arg(),
                 total: Number::Int(0),
                 any: false,
             }),
             AggFunc::Sum => Box::new(SumAgg {
-                arg: self.arg.clone(),
+                arg: arg(),
                 total: Number::Int(0),
                 any: false,
             }),
             AggFunc::Avg => Box::new(AvgAgg {
-                arg: self.arg.clone(),
+                arg: arg(),
                 total: Number::Int(0),
                 n: 0,
                 partial: false,
             }),
             AggFunc::PartialAvg => Box::new(AvgAgg {
-                arg: self.arg.clone(),
+                arg: arg(),
                 total: Number::Int(0),
                 n: 0,
                 partial: true,
             }),
             AggFunc::MergeAvg => Box::new(MergeAvgAgg {
-                arg: self.arg.clone(),
+                arg: arg(),
                 total: Number::Int(0),
                 n: 0,
             }),
             AggFunc::Min | AggFunc::MergeMin => Box::new(MinMaxAgg {
-                arg: self.arg.clone(),
+                arg: arg(),
                 best: None,
                 want_min: true,
             }),
             AggFunc::Max | AggFunc::MergeMax => Box::new(MinMaxAgg {
-                arg: self.arg.clone(),
+                arg: arg(),
                 best: None,
                 want_min: false,
             }),
             AggFunc::Sequence => Box::new(SeqAgg {
-                arg: self.arg.clone(),
+                arg: arg(),
                 items: Vec::new(),
             }),
         }
@@ -75,13 +85,13 @@ impl AggregatorFactory for AggFactory {
 
 /// `count`: counts items (a per-tuple empty sequence contributes 0).
 struct CountAgg {
-    arg: RtExpr,
+    arg: Evaluator,
     n: i64,
 }
 
 impl Aggregator for CountAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        self.n += self.arg.eval(t)?.view().sequence_len() as i64;
+        self.n += self.arg.with_value(t, None, |v| Ok(v.sequence_len()))? as i64;
         Ok(())
     }
 
@@ -94,18 +104,21 @@ impl Aggregator for CountAgg {
 /// `sum` — also serves as `merge-count` / `merge-sum` (merging partial
 /// counts *is* summing them).
 struct SumAgg {
-    arg: RtExpr,
+    arg: Evaluator,
     total: Number,
     any: bool,
 }
 
 impl Aggregator for SumAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        for it in self.arg.eval(t)?.view().iter_sequence() {
-            self.total = self.total.add(number_or_err(it, "sum aggregate")?);
-            self.any = true;
-        }
-        Ok(())
+        let (total, any) = (&mut self.total, &mut self.any);
+        self.arg.with_value(t, None, |v| {
+            for it in v.iter_sequence() {
+                *total = total.add(number_or_err(it, "sum aggregate")?);
+                *any = true;
+            }
+            Ok(())
+        })
     }
 
     fn finish(&mut self, out: &mut Vec<u8>) -> Result<(), DataflowError> {
@@ -117,7 +130,7 @@ impl Aggregator for SumAgg {
 /// `avg`, or its two-step local form emitting an `{"sum","count"}`
 /// partial object.
 struct AvgAgg {
-    arg: RtExpr,
+    arg: Evaluator,
     total: Number,
     n: i64,
     partial: bool,
@@ -125,11 +138,14 @@ struct AvgAgg {
 
 impl Aggregator for AvgAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        for it in self.arg.eval(t)?.view().iter_sequence() {
-            self.total = self.total.add(number_or_err(it, "avg aggregate")?);
-            self.n += 1;
-        }
-        Ok(())
+        let (total, n) = (&mut self.total, &mut self.n);
+        self.arg.with_value(t, None, |v| {
+            for it in v.iter_sequence() {
+                *total = total.add(number_or_err(it, "avg aggregate")?);
+                *n += 1;
+            }
+            Ok(())
+        })
     }
 
     fn finish(&mut self, out: &mut Vec<u8>) -> Result<(), DataflowError> {
@@ -150,27 +166,30 @@ impl Aggregator for AvgAgg {
 
 /// Merge `{"sum","count"}` partials into the final average.
 struct MergeAvgAgg {
-    arg: RtExpr,
+    arg: Evaluator,
     total: Number,
     n: i64,
 }
 
 impl Aggregator for MergeAvgAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        for it in self.arg.eval(t)?.view().iter_sequence() {
-            let sum = it
-                .get_key("sum")
-                .and_then(View::as_number)
-                .ok_or_else(|| DataflowError::Eval("avg partial missing sum".into()))?;
-            let count = it
-                .get_key("count")
-                .and_then(View::as_number)
-                .and_then(Number::as_i64)
-                .ok_or_else(|| DataflowError::Eval("avg partial missing count".into()))?;
-            self.total = self.total.add(sum);
-            self.n += count;
-        }
-        Ok(())
+        let (total, n) = (&mut self.total, &mut self.n);
+        self.arg.with_value(t, None, |v| {
+            for it in v.iter_sequence() {
+                let sum = it
+                    .get_key("sum")
+                    .and_then(View::as_number)
+                    .ok_or_else(|| DataflowError::Eval("avg partial missing sum".into()))?;
+                let count = it
+                    .get_key("count")
+                    .and_then(View::as_number)
+                    .and_then(Number::as_i64)
+                    .ok_or_else(|| DataflowError::Eval("avg partial missing count".into()))?;
+                *total = total.add(sum);
+                *n += count;
+            }
+            Ok(())
+        })
     }
 
     fn finish(&mut self, out: &mut Vec<u8>) -> Result<(), DataflowError> {
@@ -186,28 +205,31 @@ impl Aggregator for MergeAvgAgg {
 
 /// `min` / `max` (self-merging: the merge form is the same fold).
 struct MinMaxAgg {
-    arg: RtExpr,
+    arg: Evaluator,
     best: Option<Item>,
     want_min: bool,
 }
 
 impl Aggregator for MinMaxAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        for it in self.arg.eval(t)?.view().iter_sequence() {
-            let it = it.to_item()?;
-            let better = match &self.best {
-                None => true,
-                Some(b) => {
-                    let ord = it.total_cmp(b);
-                    (self.want_min && ord == Ordering::Less)
-                        || (!self.want_min && ord == Ordering::Greater)
+        let (best, want_min) = (&mut self.best, self.want_min);
+        self.arg.with_value(t, None, |v| {
+            for it in v.iter_sequence() {
+                let it = it.to_item()?;
+                let better = match best {
+                    None => true,
+                    Some(b) => {
+                        let ord = it.total_cmp(b);
+                        (want_min && ord == Ordering::Less)
+                            || (!want_min && ord == Ordering::Greater)
+                    }
+                };
+                if better {
+                    *best = Some(it);
                 }
-            };
-            if better {
-                self.best = Some(it);
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn finish(&mut self, out: &mut Vec<u8>) -> Result<(), DataflowError> {
@@ -222,16 +244,19 @@ impl Aggregator for MinMaxAgg {
 /// The pre-rewrite `AGGREGATE sequence`: buffers every item. Reports its
 /// state size so the memory tracker sees what the group-by rules remove.
 struct SeqAgg {
-    arg: RtExpr,
+    arg: Evaluator,
     items: Vec<Item>,
 }
 
 impl Aggregator for SeqAgg {
     fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        for it in self.arg.eval(t)?.view().iter_sequence() {
-            self.items.push(it.to_item()?);
-        }
-        Ok(())
+        let items = &mut self.items;
+        self.arg.with_value(t, None, |v| {
+            for it in v.iter_sequence() {
+                items.push(it.to_item()?);
+            }
+            Ok(())
+        })
     }
 
     fn finish(&mut self, out: &mut Vec<u8>) -> Result<(), DataflowError> {
@@ -251,7 +276,7 @@ mod tests {
     use jdm::binary::{to_bytes, ItemRef};
 
     fn run(func: AggFunc, arg: RtExpr, rows: Vec<Vec<Item>>) -> Item {
-        let factory = AggFactory { func, arg };
+        let factory = AggFactory::new(func, &arg);
         let mut agg = factory.create();
         let encoded: Vec<Vec<Vec<u8>>> = rows
             .iter()

@@ -22,7 +22,8 @@
 use crate::aggs::AggFactory;
 use crate::error::{EngineError, Result};
 use crate::pool::ScanBufferPool;
-use crate::rtexpr::{for_each_key_or_member, number_or_err, RtExpr, Val, EXTRA_FIELD};
+use crate::program::{Evaluator, Program, Step};
+use crate::rtexpr::{for_each_key_or_member, RtExpr, Val, EXTRA_FIELD};
 use crate::scan::{
     resolve_collection, EmptyTupleSourceFactory, JsonDocScanFactory, ProjectedScanFactory,
     ScanOptions, WholeCollectionScanFactory,
@@ -35,11 +36,10 @@ use dataflow::job::{
 };
 use dataflow::ops::eval::{ScalarEvaluator, ScanSourceFactory, UnnestEvaluator};
 use dataflow::ops::{
-    AggregateOp, AssignOp, BoxWriter, HashGroupByOp, HashJoinOp, MaterializingGroupByOp, ProjectOp,
-    SelectOp, UnnestOp,
+    AggregateOp, BoxWriter, FusedOp, HashGroupByOp, HashJoinOp, MaterializingGroupByOp, ProjectOp,
+    UnnestOp,
 };
-use dataflow::{DataflowError, TaskContext, TupleRef};
-use jdm::binary::write_item;
+use dataflow::{TaskContext, TupleRef};
 use jdm::Item;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -134,10 +134,13 @@ pub fn compile_plan(plan: &LogicalPlan, opts: &CompileOptions) -> Result<JobSpec
 
 // ---------------------------------------------------------------- steps
 
-/// One fused operator inside a stage chain.
-#[derive(Clone)]
+/// One operator of a stage chain, as the compiler builds it.
 enum StepSpec {
-    Assign(RtExpr),
+    /// Add `expr`'s value to the tuple as field `field`.
+    Assign {
+        expr: RtExpr,
+        field: usize,
+    },
     Select(RtExpr),
     /// `kind` distinguishes `iterate` (sequence fan-out) from
     /// `keys-or-members` over the evaluated argument.
@@ -178,82 +181,157 @@ enum UnnestKind {
     KeysOrMembers,
 }
 
-/// Chain factory: builds the fused operators back-to-front.
-struct ChainFactory {
-    steps: Vec<StepSpec>,
+/// One operator of a stage chain with its expressions lowered to
+/// programs: what every task of the stage instantiates.
+enum ChainOp {
+    /// A fused run of ASSIGN/SELECT steps, or a SUBPLAN.
+    Eval(Arc<Program>),
+    Unnest {
+        kind: UnnestKind,
+        arg: Arc<Program>,
+    },
+    Aggregate(Arc<AggFactory>),
+    HashGroupBy {
+        key_fields: Vec<usize>,
+        agg: Arc<AggFactory>,
+    },
+    MatGroupBy {
+        key_fields: Vec<usize>,
+        seq_field: usize,
+    },
+    Sort {
+        keys: Vec<(Arc<Program>, bool)>,
+    },
+    Project(Vec<usize>),
 }
 
-impl PipeFactory for ChainFactory {
-    fn create(&self, ctx: &TaskContext, out: BoxWriter) -> dataflow::Result<BoxWriter> {
-        build_chain(&self.steps, ctx, out)
-    }
-}
-
-fn build_chain(
-    steps: &[StepSpec],
-    ctx: &TaskContext,
-    out: BoxWriter,
-) -> dataflow::Result<BoxWriter> {
-    let mut writer = out;
-    for step in steps.iter().rev() {
-        // Each fused operator gets its own profiling probe; `out` (the
-        // exchange sender / collector) was instrumented by the runtime, so
-        // probes sit between every pair of adjacent operators.
-        writer = ctx.instrument(match step.clone() {
-            StepSpec::Assign(expr) => Box::new(AssignOp::new(
-                Box::new(ExprEval(expr)),
-                ctx.frame_size,
-                writer,
-            )),
-            StepSpec::Select(cond) => Box::new(SelectOp::new(
-                Box::new(ExprEval(cond)),
-                ctx.frame_size,
-                writer,
-            )),
-            StepSpec::Unnest { kind, arg } => Box::new(UnnestOp::new(
-                Box::new(UnnestEval {
-                    kind,
-                    arg,
-                    buf: Vec::new(),
-                }),
-                ctx.frame_size,
-                writer,
-            )),
-            StepSpec::SubplanAgg { func, seq, arg } => Box::new(AssignOp::new(
-                Box::new(SubplanAggEval { func, seq, arg }),
-                ctx.frame_size,
-                writer,
-            )),
+/// Lower a chain's steps: each maximal run of consecutive ASSIGN/SELECT
+/// steps becomes one program.
+fn lower_chain(steps: &[StepSpec]) -> Vec<ChainOp> {
+    let mut ops = Vec::new();
+    let mut run: Vec<Step<'_>> = Vec::new();
+    for step in steps {
+        match step {
+            StepSpec::Assign { expr, field } => {
+                run.push(Step::Assign {
+                    expr,
+                    field: *field,
+                });
+                continue;
+            }
+            StepSpec::Select(cond) => {
+                run.push(Step::Select(cond));
+                continue;
+            }
+            _ => {}
+        }
+        if !run.is_empty() {
+            ops.push(ChainOp::Eval(Arc::new(Program::run(&run))));
+            run.clear();
+        }
+        ops.push(match step {
+            StepSpec::Assign { .. } | StepSpec::Select(_) => unreachable!("in a run"),
+            StepSpec::Unnest { kind, arg } => ChainOp::Unnest {
+                kind: *kind,
+                arg: Arc::new(Program::expr(arg)),
+            },
+            StepSpec::SubplanAgg { func, seq, arg } => {
+                ChainOp::Eval(Arc::new(Program::subplan(*func, seq, arg)))
+            }
             StepSpec::Aggregate { func, arg } => {
-                let factory = AggFactory { func, arg };
-                use dataflow::ops::eval::AggregatorFactory as _;
-                Box::new(AggregateOp::new(factory.create(), ctx.frame_size, writer))
+                ChainOp::Aggregate(Arc::new(AggFactory::new(*func, arg)))
             }
             StepSpec::HashGroupBy {
                 key_fields,
                 func,
                 arg,
-            } => Box::new(HashGroupByOp::new(
+            } => ChainOp::HashGroupBy {
+                key_fields: key_fields.clone(),
+                agg: Arc::new(AggFactory::new(*func, arg)),
+            },
+            StepSpec::MatGroupBy {
                 key_fields,
-                Arc::new(AggFactory { func, arg }),
+                seq_field,
+            } => ChainOp::MatGroupBy {
+                key_fields: key_fields.clone(),
+                seq_field: *seq_field,
+            },
+            StepSpec::Sort { keys } => ChainOp::Sort {
+                keys: keys
+                    .iter()
+                    .map(|(e, asc)| (Arc::new(Program::expr(e)), *asc))
+                    .collect(),
+            },
+            StepSpec::Project(keep) => ChainOp::Project(keep.clone()),
+        });
+    }
+    if !run.is_empty() {
+        ops.push(ChainOp::Eval(Arc::new(Program::run(&run))));
+    }
+    ops
+}
+
+/// Chain factory: builds the fused operators back-to-front.
+struct ChainFactory {
+    ops: Vec<ChainOp>,
+}
+
+impl PipeFactory for ChainFactory {
+    fn create(&self, ctx: &TaskContext, out: BoxWriter) -> dataflow::Result<BoxWriter> {
+        Ok(build_chain(&self.ops, ctx, out))
+    }
+}
+
+fn build_chain(ops: &[ChainOp], ctx: &TaskContext, out: BoxWriter) -> BoxWriter {
+    let mut writer = out;
+    for op in ops.iter().rev() {
+        // Each fused operator gets its own profiling probe; `out` (the
+        // exchange sender / collector) was instrumented by the runtime, so
+        // probes sit between every pair of adjacent operators.
+        writer = ctx.instrument(match op {
+            ChainOp::Eval(program) => Box::new(FusedOp::new(
+                program.name(),
+                Box::new(Evaluator::new(program.clone())),
+                ctx.frame_size,
+                writer,
+            )),
+            ChainOp::Unnest { kind, arg } => Box::new(UnnestOp::new(
+                Box::new(UnnestEval {
+                    kind: *kind,
+                    arg: Evaluator::new(arg.clone()),
+                    buf: Vec::new(),
+                }),
+                ctx.frame_size,
+                writer,
+            )),
+            ChainOp::Aggregate(agg) => {
+                use dataflow::ops::eval::AggregatorFactory as _;
+                Box::new(AggregateOp::new(agg.create(), ctx.frame_size, writer))
+            }
+            ChainOp::HashGroupBy { key_fields, agg } => Box::new(HashGroupByOp::new(
+                key_fields.clone(),
+                agg.clone(),
                 ctx.spill_handle("HASH-GROUP-BY"),
                 ctx.frame_size,
                 writer,
             )),
-            StepSpec::MatGroupBy {
+            ChainOp::MatGroupBy {
                 key_fields,
                 seq_field,
             } => Box::new(MaterializingGroupByOp::new(
-                key_fields,
-                seq_field,
+                key_fields.clone(),
+                *seq_field,
                 ctx.spill_handle("MAT-GROUP-BY"),
                 ctx.frame_size,
                 writer,
             )),
-            StepSpec::Sort { keys } => {
+            ChainOp::Sort { keys } => {
                 let evals: Vec<(Box<dyn ScalarEvaluator>, bool)> = keys
-                    .into_iter()
-                    .map(|(e, asc)| (Box::new(ExprEval(e)) as Box<dyn ScalarEvaluator>, asc))
+                    .iter()
+                    .map(|(key, asc)| {
+                        let key: Box<dyn ScalarEvaluator> = Box::new(Evaluator::new(key.clone()));
+                        (key, *asc)
+                    })
                     .collect();
                 Box::new(dataflow::ops::SortOp::new(
                     evals,
@@ -262,28 +340,20 @@ fn build_chain(
                     writer,
                 ))
             }
-            StepSpec::Project(keep) => Box::new(ProjectOp::new(keep, ctx.frame_size, writer)),
+            ChainOp::Project(keep) => {
+                Box::new(ProjectOp::new(keep.clone(), ctx.frame_size, writer))
+            }
         });
     }
-    Ok(writer)
+    writer
 }
 
 // ----------------------------------------------------------- evaluators
 
-/// Scalar evaluator over a compiled expression.
-struct ExprEval(RtExpr);
-
-impl ScalarEvaluator for ExprEval {
-    fn eval(&mut self, tuple: &TupleRef<'_>, out: &mut Vec<u8>) -> dataflow::Result<()> {
-        self.0.eval(tuple)?.write(out);
-        Ok(())
-    }
-}
-
 /// Unnesting evaluator: `iterate` or `keys-or-members` over an argument.
 struct UnnestEval {
     kind: UnnestKind,
-    arg: RtExpr,
+    arg: Evaluator,
     /// Scratch for one emitted item, reused across tuples.
     buf: Vec<u8>,
 }
@@ -294,88 +364,20 @@ impl UnnestEvaluator for UnnestEval {
         tuple: &TupleRef<'_>,
         emit: &mut dyn FnMut(&[u8]) -> dataflow::Result<()>,
     ) -> dataflow::Result<()> {
-        let base = self.arg.eval(tuple)?;
-        let buf = &mut self.buf;
-        let mut emit_one = |v: Val<'_>| {
-            buf.clear();
-            v.write(buf);
-            emit(buf)
-        };
-        match self.kind {
-            UnnestKind::Iterate => base
-                .view()
-                .iter_sequence()
-                .try_for_each(|it| emit_one(Val::Borrowed(it))),
-            UnnestKind::KeysOrMembers => for_each_key_or_member(base.view(), &mut emit_one),
-        }
-    }
-}
-
-/// Compiled SUBPLAN: fold an aggregate over the items of a sequence
-/// expression, evaluating `arg` once per item (bound to [`EXTRA_FIELD`]).
-struct SubplanAggEval {
-    func: AggFunc,
-    seq: RtExpr,
-    arg: RtExpr,
-}
-
-impl ScalarEvaluator for SubplanAggEval {
-    fn eval(&mut self, tuple: &TupleRef<'_>, out: &mut Vec<u8>) -> dataflow::Result<()> {
-        let seq = self.seq.eval(tuple)?;
-        let mut count = 0i64;
-        let mut sum = jdm::Number::Int(0);
-        let mut n = 0i64;
-        let mut best: Option<Item> = None;
-        let mut items: Vec<Item> = Vec::new();
-        for member in seq.view().iter_sequence() {
-            let v = self.arg.eval_with(tuple, Some(member))?;
-            for it in v.view().iter_sequence() {
-                count += 1;
-                match self.func {
-                    AggFunc::Sum | AggFunc::Avg => {
-                        sum = sum.add(number_or_err(it, "aggregate")?);
-                        n += 1;
-                    }
-                    AggFunc::Min | AggFunc::Max => {
-                        let it = it.to_item()?;
-                        let better = match &best {
-                            None => true,
-                            Some(b) => {
-                                let ord = it.total_cmp(b);
-                                (self.func == AggFunc::Min && ord.is_lt())
-                                    || (self.func == AggFunc::Max && ord.is_gt())
-                            }
-                        };
-                        if better {
-                            best = Some(it);
-                        }
-                    }
-                    AggFunc::Sequence => items.push(it.to_item()?),
-                    _ => {}
-                }
+        let (kind, buf) = (self.kind, &mut self.buf);
+        self.arg.with_value(tuple, None, |base| {
+            let mut emit_one = |v: Val<'_>| {
+                buf.clear();
+                v.write(buf);
+                emit(buf)
+            };
+            match kind {
+                UnnestKind::Iterate => base
+                    .iter_sequence()
+                    .try_for_each(|it| emit_one(Val::Borrowed(it))),
+                UnnestKind::KeysOrMembers => for_each_key_or_member(base, &mut emit_one),
             }
-        }
-        let result = match self.func {
-            AggFunc::Count => Item::int(count),
-            AggFunc::Sum => Item::Number(sum),
-            AggFunc::Avg => {
-                if n == 0 {
-                    Item::empty()
-                } else {
-                    Item::Number(sum.div(jdm::Number::Int(n)))
-                }
-            }
-            AggFunc::Min | AggFunc::Max => best.unwrap_or_else(Item::empty),
-            AggFunc::Sequence => Item::Sequence(items),
-            other => {
-                return Err(DataflowError::Eval(format!(
-                    "unsupported subplan aggregate {}",
-                    other.name()
-                )))
-            }
-        };
-        write_item(&result, out);
-        Ok(())
+        })
     }
 }
 
@@ -383,14 +385,15 @@ impl ScalarEvaluator for SubplanAggEval {
 struct JoinChainFactory {
     build_keys: Vec<usize>,
     probe_keys: Vec<usize>,
-    residual: Option<RtExpr>,
+    residual: Option<Arc<Program>>,
 }
 
 impl TwoInputFactory for JoinChainFactory {
     fn create(&self, ctx: &TaskContext, out: BoxWriter) -> dataflow::Result<Box<dyn TwoInputOp>> {
         let out = match &self.residual {
-            Some(cond) => ctx.instrument(Box::new(SelectOp::new(
-                Box::new(ExprEval(cond.clone())),
+            Some(cond) => ctx.instrument(Box::new(FusedOp::new(
+                cond.name(),
+                Box::new(Evaluator::new(cond.clone())),
                 ctx.frame_size,
                 out,
             ))),
@@ -421,7 +424,9 @@ struct Pipeline {
 }
 
 fn seal(p: Pipeline, job: &mut JobSpec) -> StageId {
-    let chain = Arc::new(ChainFactory { steps: p.steps });
+    let chain = Arc::new(ChainFactory {
+        ops: lower_chain(&p.steps),
+    });
     let kind = match p.input {
         PipeInput::Source(scan) => StageKind::Source { scan, chain },
         PipeInput::Stage { from, connector } => StageKind::Pipe {
@@ -583,8 +588,10 @@ impl<'a> Compiler<'a> {
                     live.iter().copied().filter(|v| v != var).collect();
                 live_in.extend(expr_vars(expr));
                 let mut p = self.compile_op(input, &live_in, job)?;
-                p.steps
-                    .push(StepSpec::Assign(Self::compile_expr(expr, &p.schema, None)?));
+                p.steps.push(StepSpec::Assign {
+                    expr: Self::compile_expr(expr, &p.schema, None)?,
+                    field: p.schema.len(),
+                });
                 p.schema.push(*var);
                 Self::prune(&mut p, live);
                 Ok(p)
@@ -746,7 +753,10 @@ impl<'a> Compiler<'a> {
                         LogicalExpr::Var(v) => out_fields.push(Self::field_of(&p.schema, *v)?),
                         other => {
                             let compiled = Self::compile_expr(other, &p.schema, None)?;
-                            p.steps.push(StepSpec::Assign(compiled));
+                            p.steps.push(StepSpec::Assign {
+                                expr: compiled,
+                                field: p.schema.len(),
+                            });
                             let v = self.gen.fresh();
                             p.schema.push(v);
                             out_fields.push(p.schema.len() - 1);
@@ -783,8 +793,10 @@ impl<'a> Compiler<'a> {
         let mut out_schema = Vec::with_capacity(keys.len() + 1);
         for (gv, ke) in keys {
             let compiled = Self::compile_expr(ke, &p.schema, None)?;
-            p.steps
-                .push(StepSpec::Assign(RtExpr::Canon(Box::new(compiled))));
+            p.steps.push(StepSpec::Assign {
+                expr: RtExpr::Canon(Box::new(compiled)),
+                field: p.schema.len(),
+            });
             let tmp = self.gen.fresh();
             p.schema.push(tmp);
             key_fields.push(p.schema.len() - 1);
@@ -959,11 +971,8 @@ impl<'a> Compiler<'a> {
         let residual_rt = if residual.is_empty() {
             None
         } else {
-            Some(Self::compile_expr(
-                &LogicalExpr::conjoin(residual),
-                &out_schema,
-                None,
-            )?)
+            let cond = Self::compile_expr(&LogicalExpr::conjoin(residual), &out_schema, None)?;
+            Some(Arc::new(Program::run(&[Step::Select(&cond)])))
         };
 
         let lsid = seal(lp, job);
@@ -1009,8 +1018,10 @@ impl<'a> Compiler<'a> {
         let mut out = Vec::with_capacity(keys.len());
         for k in keys {
             let compiled = Self::compile_expr(k, &p.schema, None)?;
-            p.steps
-                .push(StepSpec::Assign(RtExpr::Canon(Box::new(compiled))));
+            p.steps.push(StepSpec::Assign {
+                expr: RtExpr::Canon(Box::new(compiled)),
+                field: p.schema.len(),
+            });
             let tmp = self.gen.fresh();
             p.schema.push(tmp);
             out.push(p.schema.len() - 1);

@@ -8,9 +8,11 @@
 //!  optimized plan ──[compile]──▶ dataflow JobSpec ──[cluster]──▶ rows
 //! ```
 //!
-//! * [`rtexpr`] — runtime expression evaluation (JSONiq `value`,
-//!   `keys-or-members`, comparisons, arithmetic, dateTime functions) over
-//!   binary tuples.
+//! * [`rtexpr`] — runtime expressions and the JSONiq semantics of their
+//!   functions (`value`, `keys-or-members`, comparisons, arithmetic,
+//!   dateTime functions) over borrowed views of binary tuples.
+//! * [`program`] — flat evaluation: each expression, and each run of
+//!   ASSIGN/SELECT steps, lowered once into a register program.
 //! * [`aggs`] — incremental aggregators (`count`, `sum`, `avg`, `min`,
 //!   `max`), their two-step partial/merge forms, and the
 //!   sequence-materializing aggregator of the pre-rewrite plans.
@@ -45,6 +47,7 @@ pub mod compile;
 pub mod engine;
 pub mod error;
 pub mod pool;
+pub mod program;
 pub mod queries;
 pub mod rtexpr;
 pub mod scan;

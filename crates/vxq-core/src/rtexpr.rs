@@ -1,14 +1,20 @@
 //! Runtime expressions: logical expressions with variables resolved to
-//! tuple field indices, evaluated over binary tuples.
+//! tuple field indices, and the JSONiq semantics of every function they
+//! call.
 //!
-//! A field read never decodes the field: it is a borrowed [`ItemRef`]
-//! view ([`View::Ref`]). A literal is borrowed from the plan
-//! ([`View::Tree`]), and `value` over an object or array returns a view
-//! of the selected part. Comparisons, `dateTime()`, the date accessors and
-//! the effective boolean value read scalars out of views. Only values the
-//! evaluator constructs — sequences, arithmetic, casts, aggregates —
-//! become [`Val::Owned`] trees. A view's bytes are copied verbatim into
-//! the output tuple; only owned results are encoded.
+//! An [`RtExpr`] is never walked at run time: [`crate::program`] lowers it
+//! once into a flat register program. This module holds what the program
+//! computes with — values and the functions over them.
+//!
+//! A value is a [`Val`]: a borrowed [`View`] or an owned tree. Scalars
+//! (null, booleans, numbers, dateTimes, borrowed strings) are views held
+//! unboxed. A field read is a view of the tuple's bytes ([`View::Ref`]), a
+//! literal a view of the plan's tree ([`View::Tree`]), and `value` over an
+//! object or array returns a view of the selected part. Only values the
+//! evaluator constructs as containers — sequences, `keys-or-members`
+//! results, copies out of other owned values — become [`Val::Owned`]
+//! trees. A serialized view's bytes are copied verbatim into the output
+//! tuple; everything else is encoded.
 //!
 //! JSONiq sequence semantics are implemented faithfully where the paper's
 //! queries exercise them:
@@ -23,8 +29,10 @@
 //! arithmetic on strings, …) fails with [`DataflowError::Eval`].
 
 use algebra::expr::Function;
-use dataflow::{DataflowError, Result, TupleRef};
-use jdm::binary::{tag, write_item, ItemRef, MemberIter};
+use dataflow::{DataflowError, Result};
+use jdm::binary::{
+    tag, write_bool, write_datetime, write_item, write_number, write_string, ItemRef, MemberIter,
+};
 use jdm::{DateTime, Item, Number};
 use std::cmp::Ordering;
 
@@ -49,20 +57,25 @@ pub enum RtExpr {
     Canon(Box<RtExpr>),
 }
 
-/// A borrowed item: serialized inside a tuple, or a tree in the plan or in
-/// an owned value.
+/// A borrowed item: an unboxed scalar, an item serialized inside a tuple,
+/// or a tree in the plan or in an owned value.
 #[derive(Debug, Clone, Copy)]
 pub enum View<'a> {
+    Null,
+    Bool(bool),
+    Num(Number),
+    DateTime(DateTime),
+    Str(&'a str),
     /// A serialized item (a tuple field, or a part of one).
     Ref(ItemRef<'a>),
     /// A tree item (a literal, or a part of an owned value).
     Tree(&'a Item),
 }
 
-/// The result of evaluating an expression.
+/// The result of evaluating an expression: one register of a program.
 #[derive(Debug, Clone)]
 pub enum Val<'a> {
-    /// A view of data that outlives the evaluation.
+    /// A scalar, or a view of data that outlives the evaluation.
     Borrowed(View<'a>),
     /// A value the evaluator constructed.
     Owned(Item),
@@ -72,6 +85,17 @@ impl<'a> Val<'a> {
     /// The empty sequence.
     pub fn empty() -> Val<'a> {
         Val::Owned(Item::empty())
+    }
+
+    /// A tree item, with its scalars unboxed.
+    pub fn from_item(item: Item) -> Val<'a> {
+        match item {
+            Item::Null => Val::Borrowed(View::Null),
+            Item::Boolean(b) => Val::Borrowed(View::Bool(b)),
+            Item::Number(n) => Val::Borrowed(View::Num(n)),
+            Item::DateTime(d) => Val::Borrowed(View::DateTime(d)),
+            other => Val::Owned(other),
+        }
     }
 
     /// Borrow as a view.
@@ -90,37 +114,48 @@ impl<'a> Val<'a> {
         }
     }
 
+    /// The same value, borrowing nothing: used when a result would borrow
+    /// from an owned value that does not outlive it.
+    pub(crate) fn into_owned(self) -> Result<Val<'static>> {
+        Ok(match self {
+            Val::Borrowed(View::Null) => Val::Borrowed(View::Null),
+            Val::Borrowed(View::Bool(b)) => Val::Borrowed(View::Bool(b)),
+            Val::Borrowed(View::Num(n)) => Val::Borrowed(View::Num(n)),
+            Val::Borrowed(View::DateTime(d)) => Val::Borrowed(View::DateTime(d)),
+            Val::Borrowed(v) => Val::Owned(v.to_item()?),
+            Val::Owned(item) => Val::Owned(item),
+        })
+    }
+
     /// Append the serialized value to `out`.
     pub fn write(&self, out: &mut Vec<u8>) {
         self.view().write(out)
     }
 }
 
-/// A scalar read out of either representation.
-#[derive(Debug, Clone, Copy)]
-enum Atom<'a> {
-    Null,
-    Bool(bool),
-    Num(Number),
-    Str(&'a str),
-    DateTime(DateTime),
-    /// Arrays, objects and sequences.
-    Other,
-}
-
 impl<'a> View<'a> {
     /// Decode into a tree item.
     pub fn to_item(self) -> Result<Item> {
-        match self {
-            View::Ref(r) => Ok(r.to_item()?),
-            View::Tree(item) => Ok(item.clone()),
-        }
+        Ok(match self {
+            View::Null => Item::Null,
+            View::Bool(b) => Item::Boolean(b),
+            View::Num(n) => Item::Number(n),
+            View::DateTime(d) => Item::DateTime(d),
+            View::Str(s) => Item::str(s),
+            View::Ref(r) => r.to_item()?,
+            View::Tree(item) => item.clone(),
+        })
     }
 
     /// Append the serialized item to `out`: a serialized view's bytes are
-    /// copied verbatim.
+    /// copied verbatim, a scalar is encoded exactly as its tree would be.
     pub fn write(self, out: &mut Vec<u8>) {
         match self {
+            View::Null => out.push(tag::NULL),
+            View::Bool(b) => write_bool(b, out),
+            View::Num(n) => write_number(n, out),
+            View::DateTime(d) => write_datetime(d, out),
+            View::Str(s) => write_string(s.as_bytes(), out),
             View::Ref(r) => out.extend_from_slice(r.bytes()),
             View::Tree(item) => write_item(item, out),
         }
@@ -144,8 +179,8 @@ impl<'a> View<'a> {
     pub fn sequence_len(self) -> usize {
         match self {
             View::Ref(r) if r.tag() == tag::SEQUENCE => r.count().unwrap_or(0),
-            View::Ref(_) => 1,
             View::Tree(item) => item.sequence_len(),
+            _ => 1,
         }
     }
 
@@ -154,32 +189,42 @@ impl<'a> View<'a> {
         self.sequence_members().is_some() && self.sequence_len() == 0
     }
 
-    #[inline]
-    fn atom(self) -> Atom<'a> {
+    /// The scalar this item holds, unboxed; arrays, objects, sequences
+    /// (and malformed scalars) stay [`View::Ref`] / [`View::Tree`].
+    #[inline(always)]
+    pub(crate) fn atom(self) -> View<'a> {
         match self {
             View::Ref(r) => match r.tag() {
-                tag::NULL => Atom::Null,
-                tag::TRUE | tag::FALSE => Atom::Bool(r.tag() == tag::TRUE),
-                tag::INT | tag::DOUBLE => r.as_number().map_or(Atom::Other, Atom::Num),
-                tag::STRING => r.as_str().map_or(Atom::Other, Atom::Str),
-                tag::DATETIME => r.as_datetime().map_or(Atom::Other, Atom::DateTime),
-                _ => Atom::Other,
+                tag::NULL => View::Null,
+                tag::TRUE | tag::FALSE => View::Bool(r.tag() == tag::TRUE),
+                tag::INT | tag::DOUBLE => r.as_number().map_or(self, View::Num),
+                tag::STRING => r.as_str().map_or(self, View::Str),
+                tag::DATETIME => r.as_datetime().map_or(self, View::DateTime),
+                _ => self,
             },
             View::Tree(item) => match item {
-                Item::Null => Atom::Null,
-                Item::Boolean(b) => Atom::Bool(*b),
-                Item::Number(n) => Atom::Num(*n),
-                Item::String(s) => Atom::Str(s),
-                Item::DateTime(d) => Atom::DateTime(*d),
-                Item::Array(_) | Item::Object(_) | Item::Sequence(_) => Atom::Other,
+                Item::Null => View::Null,
+                Item::Boolean(b) => View::Bool(*b),
+                Item::Number(n) => View::Num(*n),
+                Item::String(s) => View::Str(s),
+                Item::DateTime(d) => View::DateTime(*d),
+                Item::Array(_) | Item::Object(_) | Item::Sequence(_) => self,
             },
+            scalar => scalar,
         }
+    }
+
+    /// True when this is the boolean `true` item (a select keeps a tuple
+    /// only then: a sequence holding `true` does not count).
+    #[inline]
+    pub(crate) fn is_true(self) -> bool {
+        matches!(self.atom(), View::Bool(true))
     }
 
     /// Numeric payload.
     pub fn as_number(self) -> Option<Number> {
         match self.atom() {
-            Atom::Num(n) => Some(n),
+            View::Num(n) => Some(n),
             _ => None,
         }
     }
@@ -189,6 +234,7 @@ impl<'a> View<'a> {
         match self {
             View::Ref(r) => r.get_key(key).map(View::Ref),
             View::Tree(item) => item.get_key(key).map(View::Tree),
+            _ => None,
         }
     }
 
@@ -198,8 +244,8 @@ impl<'a> View<'a> {
             View::Ref(r) if r.tag() == tag::ARRAY && pos >= 1 => {
                 r.member((pos - 1) as usize).map(View::Ref)
             }
-            View::Ref(_) => None,
             View::Tree(item) => item.get_position(pos).map(View::Tree),
+            _ => None,
         }
     }
 }
@@ -224,58 +270,9 @@ impl<'a> Iterator for Members<'a> {
     }
 }
 
-impl RtExpr {
-    /// Evaluate over a tuple.
-    pub fn eval<'a>(&'a self, tuple: &TupleRef<'a>) -> Result<Val<'a>> {
-        self.eval_with(tuple, None)
-    }
-
-    /// Evaluate with an optional extra item bound to [`EXTRA_FIELD`].
-    pub fn eval_with<'a>(
-        &'a self,
-        tuple: &TupleRef<'a>,
-        extra: Option<View<'a>>,
-    ) -> Result<Val<'a>> {
-        match self {
-            RtExpr::Field(i) => {
-                if *i == EXTRA_FIELD {
-                    return extra
-                        .map(Val::Borrowed)
-                        .ok_or_else(|| DataflowError::Eval("extra field unbound".into()));
-                }
-                let field = ItemRef::new(tuple.field(*i))
-                    .map_err(|e| DataflowError::Eval(format!("bad field {i}: {e}")))?;
-                Ok(Val::Borrowed(View::Ref(field)))
-            }
-            RtExpr::Const(item) => Ok(Val::Borrowed(View::Tree(item))),
-            RtExpr::Canon(inner) => match inner.eval_with(tuple, extra)? {
-                Val::Borrowed(v) => Ok(canonicalize(v)),
-                // The canonical form may be a part of its owner: copy it out.
-                Val::Owned(item) => Ok(Val::Owned(canonicalize(View::Tree(&item)).into_item()?)),
-            },
-            // Arguments evaluate left to right, all of them, before the
-            // function applies. Applying by arity passes them by value: no
-            // heap vector, and the recursion through the expression tree
-            // stays in this small frame rather than one shared match over
-            // every function.
-            RtExpr::Call(f @ (Function::And | Function::Or), args) => {
-                connective(*f, args.iter().map(|a| a.eval_with(tuple, extra)))
-            }
-            RtExpr::Call(f, args) => match args.as_slice() {
-                [a] => apply1(*f, a.eval_with(tuple, extra)?),
-                [a, b] => {
-                    let a = a.eval_with(tuple, extra)?;
-                    apply2(*f, a, b.eval_with(tuple, extra)?)
-                }
-                _ => arity_error(*f),
-            },
-        }
-    }
-}
-
 /// Canonicalize for byte-equality key contexts: unwrap singleton
 /// sequences and narrow exact-integer doubles.
-fn canonicalize(view: View<'_>) -> Val<'_> {
+pub(crate) fn canonicalize(view: View<'_>) -> Val<'_> {
     if let Some(mut members) = view.sequence_members() {
         if let (Some(one), None) = (members.next(), members.next()) {
             return canonicalize(one);
@@ -283,107 +280,92 @@ fn canonicalize(view: View<'_>) -> Val<'_> {
         return Val::Borrowed(view);
     }
     match view.as_number() {
-        Some(n @ Number::Double(_)) => n
-            .as_i64()
-            .map_or(Val::Borrowed(view), |i| Val::Owned(Item::int(i))),
+        Some(n @ Number::Double(_)) => n.as_i64().map_or(Val::Borrowed(view), |i| {
+            Val::Borrowed(View::Num(Number::Int(i)))
+        }),
         _ => Val::Borrowed(view),
     }
 }
 
-/// Apply a function to tree items (for callers holding trees; the
-/// evaluator itself passes views).
+/// Apply a function to tree items, for callers holding trees (constant
+/// folding, tests); programs apply the same functions to views.
 pub fn apply(f: Function, args: Vec<Item>) -> Result<Item> {
-    let mut args = args.into_iter().map(Val::Owned);
-    let out = match (f, args.len()) {
-        (Function::And | Function::Or, _) => connective(f, args.map(Ok)),
-        (_, 1) => apply1(f, args.next().expect("one argument")),
-        (_, 2) => {
-            let a = args.next().expect("two arguments");
-            apply2(f, a, args.next().expect("two arguments"))
+    use Function::*;
+    let out = match (f, args.as_slice()) {
+        (And | Or, args) => boolean(connective(f, args.iter().map(View::Tree))),
+        (Promote | Data | TreatItem | Iterate, [_]) => {
+            return Ok(args.into_iter().next().expect("one argument"))
         }
-        _ => arity_error(f),
+        (Value, [a, b]) => value_step(View::Tree(a), View::Tree(b))?.into_owned()?,
+        (_, [a]) => call1(f, View::Tree(a))?,
+        (_, [a, b]) => call2(f, View::Tree(a), View::Tree(b))?,
+        _ => return arity_error(f),
     };
-    out?.into_item()
+    out.into_item()
 }
 
-fn arity_error<'a>(f: Function) -> Result<Val<'a>> {
+pub(crate) fn arity_error<T>(f: Function) -> Result<T> {
     Err(DataflowError::Eval(format!(
         "{f:?}: wrong number of arguments"
     )))
 }
 
-/// `and` / `or` over any number of arguments. Every argument is evaluated
+/// `and` / `or` over evaluated arguments. Every argument was evaluated
 /// (no short-circuit), as with every other function.
-fn connective<'a>(f: Function, args: impl Iterator<Item = Result<Val<'a>>>) -> Result<Val<'a>> {
+pub(crate) fn connective<'a>(f: Function, args: impl Iterator<Item = View<'a>>) -> bool {
     let and = f == Function::And;
     let mut acc = and;
     for a in args {
-        let b = ebv(a?.view());
+        let b = ebv(a);
         acc = if and { acc && b } else { acc || b };
     }
-    Ok(boolean(acc))
+    acc
 }
 
-/// Apply a function of one argument.
-fn apply1(f: Function, a: Val<'_>) -> Result<Val<'_>> {
+/// Apply a function of one argument whose result borrows nothing from it
+/// (the identity coercions are resolved before a program runs).
+#[inline]
+pub(crate) fn call1(f: Function, a: View<'_>) -> Result<Val<'static>> {
     use Function::*;
     match f {
-        KeysOrMembers => Ok(Val::Owned(keys_or_members(a.view())?)),
-        // Coercion scaffolding: identity on our data model (see the path
-        // rules — removing these is a pure win, never a semantic change).
-        Promote | Data | TreatItem | Iterate => Ok(a),
-        Not => Ok(boolean(!ebv(a.view()))),
-        DateTime => {
-            let Some(v) = singleton(a.view()) else {
-                return Ok(Val::empty());
-            };
-            match v.atom() {
-                Atom::Str(s) => jdm::DateTime::parse(s)
-                    .map(|d| Val::Owned(Item::DateTime(d)))
-                    .map_err(|e| DataflowError::Eval(e.to_string())),
-                Atom::DateTime(d) => Ok(Val::Owned(Item::DateTime(d))),
-                _ => Err(DataflowError::Eval(format!(
-                    "dateTime() expects a string, got {}",
-                    v.to_item()?
-                ))),
-            }
-        }
-        YearFromDateTime | MonthFromDateTime | DayFromDateTime => {
-            let Some(v) = singleton(a.view()) else {
-                return Ok(Val::empty());
-            };
-            match v.atom() {
-                Atom::DateTime(d) => Ok(Val::Owned(Item::int(date_part(f, d)))),
-                _ => Err(DataflowError::Eval(format!(
-                    "dateTime accessor expects a dateTime, got {}",
-                    v.to_item()?
-                ))),
-            }
-        }
-        Count => Ok(Val::Owned(Item::int(a.view().sequence_len() as i64))),
+        Not => Ok(boolean(!ebv(a))),
+        DateTime => datetime(a),
+        YearFromDateTime | MonthFromDateTime | DayFromDateTime => date_part(f, a),
+        _ => call1_other(f, a),
+    }
+}
+
+/// [`call1`] for the functions without an inline fast path.
+fn call1_other(f: Function, a: View<'_>) -> Result<Val<'static>> {
+    use Function::*;
+    match f {
+        KeysOrMembers => Ok(Val::Owned(keys_or_members(a)?)),
+        Count => Ok(Val::Borrowed(View::Num(Number::Int(
+            a.sequence_len() as i64
+        )))),
         Sum => {
             let mut total = Number::Int(0);
-            for it in a.view().iter_sequence() {
+            for it in a.iter_sequence() {
                 total = total.add(number_or_err(it, "sum()")?);
             }
-            Ok(Val::Owned(Item::Number(total)))
+            Ok(Val::Borrowed(View::Num(total)))
         }
         Avg => {
             let mut total = Number::Int(0);
             let mut n = 0i64;
-            for it in a.view().iter_sequence() {
+            for it in a.iter_sequence() {
                 total = total.add(number_or_err(it, "avg()")?);
                 n += 1;
             }
             Ok(if n == 0 {
                 Val::empty()
             } else {
-                Val::Owned(Item::Number(total.div(Number::Int(n))))
+                Val::Borrowed(View::Num(total.div(Number::Int(n))))
             })
         }
         Min | Max => {
             let mut best: Option<Item> = None;
-            for it in a.view().iter_sequence() {
+            for it in a.iter_sequence() {
                 let it = it.to_item()?;
                 let better = match &best {
                     None => true,
@@ -397,7 +379,7 @@ fn apply1(f: Function, a: Val<'_>) -> Result<Val<'_>> {
                     best = Some(it);
                 }
             }
-            Ok(best.map_or_else(Val::empty, Val::Owned))
+            Ok(best.map_or_else(Val::empty, Val::from_item))
         }
         Collection | JsonDoc => Err(DataflowError::Eval(
             "collection()/json-doc() must be compiled to a scan, not evaluated".into(),
@@ -406,25 +388,82 @@ fn apply1(f: Function, a: Val<'_>) -> Result<Val<'_>> {
     }
 }
 
-/// Apply a function of two arguments.
-fn apply2<'a>(f: Function, a: Val<'a>, b: Val<'a>) -> Result<Val<'a>> {
+/// Apply a function of two arguments whose result borrows nothing from
+/// them (`value` is [`value_step`]).
+pub(crate) fn call2(f: Function, a: View<'_>, b: View<'_>) -> Result<Val<'static>> {
     use Function::*;
     match f {
-        Value => match a {
-            Val::Borrowed(base) => value_step(base, b.view()),
-            // The selected part cannot outlive its owner: copy it out.
-            Val::Owned(item) => Ok(Val::Owned(
-                value_step(View::Tree(&item), b.view())?.into_item()?,
-            )),
-        },
-        Eq | Ne | Ge | Le | Gt | Lt => Ok(boolean(compare(f, a.view(), b.view()))),
-        Add | Sub | Mul | Div | IDiv => arith(f, a.view(), b.view()),
+        Eq | Ne | Ge | Le | Gt | Lt => Ok(boolean(compare(f, a, b))),
+        Add | Sub | Mul | Div | IDiv => arith(f, a, b),
         _ => arity_error(f),
     }
 }
 
 fn boolean<'a>(b: bool) -> Val<'a> {
-    Val::Owned(Item::Boolean(b))
+    Val::Borrowed(View::Bool(b))
+}
+
+/// `dateTime()`: parse a string (or pass a dateTime through).
+#[inline]
+pub(crate) fn datetime(a: View<'_>) -> Result<Val<'static>> {
+    match a.atom() {
+        View::Str(s) => jdm::DateTime::parse(s)
+            .map(|d| Val::Borrowed(View::DateTime(d)))
+            .map_err(|e| DataflowError::Eval(e.to_string())),
+        View::DateTime(d) => Ok(Val::Borrowed(View::DateTime(d))),
+        _ => datetime_of_any(a),
+    }
+}
+
+/// [`datetime`] over sequences and wrongly typed items.
+#[cold]
+fn datetime_of_any(a: View<'_>) -> Result<Val<'static>> {
+    let Some(v) = singleton(a) else {
+        return Ok(Val::empty());
+    };
+    match v.atom() {
+        View::Str(s) => jdm::DateTime::parse(s)
+            .map(|d| Val::Borrowed(View::DateTime(d)))
+            .map_err(|e| DataflowError::Eval(e.to_string())),
+        View::DateTime(d) => Ok(Val::Borrowed(View::DateTime(d))),
+        _ => Err(DataflowError::Eval(format!(
+            "dateTime() expects a string, got {}",
+            v.to_item()?
+        ))),
+    }
+}
+
+/// `year-from-dateTime` / `month-from-dateTime` / `day-from-dateTime`.
+#[inline]
+pub(crate) fn date_part(f: Function, a: View<'_>) -> Result<Val<'static>> {
+    match a.atom() {
+        View::DateTime(d) => Ok(Val::Borrowed(View::Num(Number::Int(part_of(f, d))))),
+        _ => date_part_of_any(f, a),
+    }
+}
+
+/// [`date_part`] over sequences and wrongly typed items.
+#[cold]
+fn date_part_of_any(f: Function, a: View<'_>) -> Result<Val<'static>> {
+    let Some(v) = singleton(a) else {
+        return Ok(Val::empty());
+    };
+    match v.atom() {
+        View::DateTime(d) => Ok(Val::Borrowed(View::Num(Number::Int(part_of(f, d))))),
+        _ => Err(DataflowError::Eval(format!(
+            "dateTime accessor expects a dateTime, got {}",
+            v.to_item()?
+        ))),
+    }
+}
+
+fn part_of(f: Function, d: DateTime) -> i64 {
+    match f {
+        Function::YearFromDateTime => d.year as i64,
+        Function::MonthFromDateTime => d.month as i64,
+        Function::DayFromDateTime => d.day as i64,
+        _ => unreachable!("not a date accessor"),
+    }
 }
 
 /// The number in `it`, or an evaluation error naming the operator.
@@ -438,25 +477,64 @@ pub(crate) fn number_or_err(it: View<'_>, op: &str) -> Result<Number> {
     }
 }
 
+/// What a `value` step selects, resolved from its key argument.
+#[derive(Debug, Clone)]
+pub(crate) enum Selector<K> {
+    /// An object member.
+    Key(K),
+    /// A 1-based array position.
+    Pos(i64),
+    /// Nothing (a key that is neither a string nor an integer).
+    Nothing,
+}
+
+impl<'a> Selector<&'a str> {
+    /// Resolve a `value` step's key argument.
+    pub(crate) fn of(key: View<'a>) -> Self {
+        match key.atom() {
+            View::Str(k) => Selector::Key(k),
+            View::Num(n) => n.as_i64().map_or(Selector::Nothing, Selector::Pos),
+            _ => Selector::Nothing,
+        }
+    }
+}
+
 /// JSONiq `value` step, mapping over sequences. Over an object or array
 /// the result is a view of the selected part.
 pub fn value_step<'a>(base: View<'a>, key: View<'_>) -> Result<Val<'a>> {
-    if let Some(members) = base.sequence_members() {
-        let mut out = Vec::new();
-        for m in members {
-            let v = value_step(m, key)?;
-            if !v.view().is_empty_sequence() {
-                out.push(v.into_item()?);
-            }
-        }
-        return Ok(Val::Owned(Item::seq(out)));
+    select(base, &Selector::of(key))
+}
+
+/// [`value_step`] with its key already resolved.
+#[inline]
+pub(crate) fn select<'a, K: AsRef<str>>(base: View<'a>, sel: &Selector<K>) -> Result<Val<'a>> {
+    match base.sequence_members() {
+        None => Ok(select_one(base, sel)),
+        Some(members) => select_each(members, sel),
     }
-    let hit = match key.atom() {
-        Atom::Str(k) => base.get_key(k),
-        Atom::Num(n) => n.as_i64().and_then(|i| base.get_position(i)),
-        _ => None,
+}
+
+/// A `value` step mapped over the members of a sequence.
+fn select_each<'a, K: AsRef<str>>(members: Members<'a>, sel: &Selector<K>) -> Result<Val<'a>> {
+    let mut out = Vec::new();
+    for m in members {
+        let v = select(m, sel)?;
+        if !v.view().is_empty_sequence() {
+            out.push(v.into_item()?);
+        }
+    }
+    Ok(Val::Owned(Item::seq(out)))
+}
+
+/// A `value` step on one item.
+#[inline]
+fn select_one<'a, K: AsRef<str>>(base: View<'a>, sel: &Selector<K>) -> Val<'a> {
+    let hit = match *sel {
+        Selector::Key(ref k) => base.get_key(k.as_ref()),
+        Selector::Pos(i) => base.get_position(i),
+        Selector::Nothing => None,
     };
-    Ok(hit.map_or_else(Val::empty, Val::Borrowed))
+    hit.map_or_else(Val::empty, Val::Borrowed)
 }
 
 /// JSONiq `keys-or-members`, mapping over sequences.
@@ -470,7 +548,7 @@ pub fn keys_or_members(base: View<'_>) -> Result<Item> {
 }
 
 /// Visit the items of `keys-or-members(base)` in order: array members as
-/// views, object keys as owned strings.
+/// views, object keys as borrowed strings.
 pub(crate) fn for_each_key_or_member<'a>(
     base: View<'a>,
     visit: &mut dyn FnMut(Val<'a>) -> Result<()>,
@@ -490,7 +568,7 @@ pub(crate) fn for_each_key_or_member<'a>(
                 let (k, _) = r
                     .pair(i)
                     .ok_or_else(|| DataflowError::Eval("bad object pair".into()))?;
-                visit(Val::Owned(Item::str(k)))
+                visit(Val::Borrowed(View::Str(k)))
             }),
             _ => Ok(()),
         },
@@ -499,17 +577,25 @@ pub(crate) fn for_each_key_or_member<'a>(
             .try_for_each(|m| visit(Val::Borrowed(View::Tree(m)))),
         View::Tree(Item::Object(pairs)) => pairs
             .iter()
-            .try_for_each(|(k, _)| visit(Val::Owned(Item::String(k.clone())))),
-        View::Tree(_) => Ok(()),
+            .try_for_each(|(k, _)| visit(Val::Borrowed(View::Str(k)))),
+        _ => Ok(()),
     }
 }
 
 /// Effective boolean value (the subset we need: booleans, emptiness).
-fn ebv(v: View<'_>) -> bool {
+#[inline]
+pub(crate) fn ebv(v: View<'_>) -> bool {
+    match v {
+        View::Bool(b) => b,
+        _ => ebv_of_any(v),
+    }
+}
+
+fn ebv_of_any(v: View<'_>) -> bool {
     match v.atom() {
-        Atom::Bool(b) => b,
-        Atom::Null => false,
-        Atom::Other => match v.sequence_members() {
+        View::Bool(b) => b,
+        View::Null => false,
+        View::Ref(_) | View::Tree(_) => match v.sequence_members() {
             Some(mut members) => members.next().map(ebv).unwrap_or(false),
             None => true,
         },
@@ -530,25 +616,35 @@ fn singleton(v: View<'_>) -> Option<View<'_>> {
 
 /// Value comparison: atomics compare by type; empty sequences never
 /// match; proper sequences compare existentially (any pair).
-fn compare(f: Function, lhs: View<'_>, rhs: View<'_>) -> bool {
+#[inline]
+pub(crate) fn compare(f: Function, lhs: View<'_>, rhs: View<'_>) -> bool {
     let ord = match (lhs.atom(), rhs.atom()) {
-        (Atom::Num(a), Atom::Num(b)) => a.num_cmp(b),
-        (Atom::Str(a), Atom::Str(b)) => a.cmp(b),
-        (Atom::Bool(a), Atom::Bool(b)) => a.cmp(&b),
-        (Atom::DateTime(a), Atom::DateTime(b)) => a.cmp(&b),
-        (Atom::Null, Atom::Null) => Ordering::Equal,
-        _ => {
-            if let Some(mut ls) = lhs.sequence_members() {
-                return ls.any(|l| compare(f, l, rhs));
-            }
-            if let Some(mut rs) = rhs.sequence_members() {
-                return rs.any(|r| compare(f, lhs, r));
-            }
-            // JSONiq compares strings to numbers etc. as an error; a
-            // filter context treats that as non-match.
-            return f == Function::Ne;
-        }
+        (View::Num(a), View::Num(b)) => a.num_cmp(b),
+        (View::Str(a), View::Str(b)) => a.cmp(b),
+        (View::Bool(a), View::Bool(b)) => a.cmp(&b),
+        (View::DateTime(a), View::DateTime(b)) => a.cmp(&b),
+        (View::Null, View::Null) => Ordering::Equal,
+        _ => return compare_mixed(f, lhs, rhs),
     };
+    holds(f, ord)
+}
+
+/// [`compare`] when the two sides are not atomics of one type.
+fn compare_mixed(f: Function, lhs: View<'_>, rhs: View<'_>) -> bool {
+    if let Some(mut ls) = lhs.sequence_members() {
+        return ls.any(|l| compare(f, l, rhs));
+    }
+    if let Some(mut rs) = rhs.sequence_members() {
+        return rs.any(|r| compare(f, lhs, r));
+    }
+    // JSONiq compares strings to numbers etc. as an error; a filter
+    // context treats that as non-match.
+    f == Function::Ne
+}
+
+/// Whether comparison `f` holds for two items ordered `ord`.
+#[inline]
+fn holds(f: Function, ord: Ordering) -> bool {
     match f {
         Function::Eq => ord == Ordering::Equal,
         Function::Ne => ord != Ordering::Equal,
@@ -560,7 +656,7 @@ fn compare(f: Function, lhs: View<'_>, rhs: View<'_>) -> bool {
     }
 }
 
-fn arith<'a>(f: Function, lhs: View<'_>, rhs: View<'_>) -> Result<Val<'a>> {
+fn arith(f: Function, lhs: View<'_>, rhs: View<'_>) -> Result<Val<'static>> {
     let (Some(l), Some(r)) = (singleton(lhs), singleton(rhs)) else {
         return Ok(Val::empty());
     };
@@ -581,16 +677,7 @@ fn arith<'a>(f: Function, lhs: View<'_>, rhs: View<'_>) -> Result<Val<'a>> {
             .ok_or_else(|| DataflowError::Eval("idiv by zero".into()))?,
         _ => unreachable!("not arithmetic"),
     };
-    Ok(Val::Owned(Item::Number(out)))
-}
-
-fn date_part(f: Function, d: DateTime) -> i64 {
-    match f {
-        Function::YearFromDateTime => d.year as i64,
-        Function::MonthFromDateTime => d.month as i64,
-        Function::DayFromDateTime => d.day as i64,
-        _ => unreachable!("not a date accessor"),
-    }
+    Ok(Val::Borrowed(View::Num(out)))
 }
 
 #[cfg(test)]
@@ -724,26 +811,36 @@ mod tests {
         assert!(apply(Function::Add, vec![Item::str("x"), Item::int(1)]).is_err());
     }
 
-    #[test]
-    fn field_eval_reads_tuples() {
+    /// Run `e` as a program over a one-field tuple holding `field`.
+    fn eval_over(e: &RtExpr, field: &Item, check: impl FnOnce(View<'_>)) {
+        use crate::program::{Evaluator, Program};
         use dataflow::frame::frames_from_rows;
         use jdm::binary::to_bytes;
-        let rows = vec![vec![to_bytes(&obj(r#"{"k": 42}"#))]];
+        let rows = vec![vec![to_bytes(field)]];
         let frames = frames_from_rows(&rows, 1024);
-        let t = frames[0].tuple(0);
+        let mut ev = Evaluator::new(std::sync::Arc::new(Program::expr(e)));
+        ev.with_value(&frames[0].tuple(0), None, |v| {
+            check(v);
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn field_eval_reads_tuples() {
         let e = RtExpr::Call(
             Function::Value,
             vec![RtExpr::Field(0), RtExpr::Const(Item::str("k"))],
         );
         // The field read and the value step borrow from the tuple.
-        let v = e.eval(&t).unwrap();
-        assert!(matches!(v, Val::Borrowed(View::Ref(_))), "{v:?}");
-        assert_eq!(v.into_item().unwrap(), Item::int(42));
+        eval_over(&e, &obj(r#"{"k": 42}"#), |v| {
+            assert!(matches!(v, View::Ref(_)), "{v:?}");
+            assert_eq!(v.to_item().unwrap(), Item::int(42));
+        });
     }
 
     #[test]
     fn canon_narrows_borrowed_doubles_and_unwraps_singletons() {
-        use dataflow::frame::frames_from_rows;
         use jdm::binary::to_bytes;
         for (field, canonical) in [
             (Item::double(2.0), Item::int(2)),
@@ -755,14 +852,10 @@ mod tests {
                 Item::seq([Item::int(1), Item::int(2)]),
             ),
         ] {
-            let rows = vec![vec![to_bytes(&field)]];
-            let frames = frames_from_rows(&rows, 1024);
-            let t = frames[0].tuple(0);
             let mut out = Vec::new();
-            RtExpr::Canon(Box::new(RtExpr::Field(0)))
-                .eval(&t)
-                .unwrap()
-                .write(&mut out);
+            eval_over(&RtExpr::Canon(Box::new(RtExpr::Field(0))), &field, |v| {
+                v.write(&mut out)
+            });
             assert_eq!(out, to_bytes(&canonical), "{field:?}");
         }
     }

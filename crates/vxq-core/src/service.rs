@@ -40,11 +40,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Latency samples kept for percentile reporting; past this the recorder
-/// stops (the bound keeps a long-lived service from growing without
-/// limit, and 64 Ki samples is plenty for stable p99s).
-const LATENCY_SAMPLE_CAP: usize = 64 * 1024;
-
 /// Serving-layer construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -372,20 +367,98 @@ struct ServiceMetrics {
     /// High-water mark of bytes a finished job left allocated on its
     /// tracker — 0 in a healthy service (cancellation hygiene check).
     leaked_bytes: AtomicU64,
-    latency_us: Mutex<Vec<u64>>,
-    queue_wait_us: Mutex<Vec<u64>>,
+    latency_us: LatencyHistogram,
+    queue_wait_us: LatencyHistogram,
 }
 
-impl ServiceMetrics {
-    fn record_sample(samples: &Mutex<Vec<u64>>, us: u64) {
-        let mut v = samples.lock().unwrap_or_else(|e| e.into_inner());
-        if v.len() < LATENCY_SAMPLE_CAP {
-            v.push(us);
+/// Exact buckets below 16 µs; above, 16 sub-buckets per power of two.
+const SUB_BUCKET_BITS: u32 = 4;
+const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
+const HISTOGRAM_BUCKETS: usize =
+    (SUB_BUCKETS + (64 - SUB_BUCKET_BITS as u64) * SUB_BUCKETS) as usize;
+
+/// Microsecond samples in fixed log-spaced buckets: bounded (976 atomic
+/// counters), lock-free to record and to read, and never stale — every
+/// sample of the service's life counts. A percentile reads the midpoint of
+/// its bucket, within 1/16 of the true sample.
+struct LatencyHistogram {
+    buckets: Box<[AtomicU64]>,
+    max: AtomicU64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram {
+            buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            max: AtomicU64::new(0),
         }
     }
 }
 
-/// Percentile summary over recorded microsecond samples.
+impl LatencyHistogram {
+    /// The bucket holding `us`.
+    fn bucket(us: u64) -> usize {
+        if us < SUB_BUCKETS {
+            return us as usize;
+        }
+        let shift = 63 - us.leading_zeros() - SUB_BUCKET_BITS;
+        let sub = (us >> shift) - SUB_BUCKETS;
+        (SUB_BUCKETS * (shift as u64 + 1) + sub) as usize
+    }
+
+    /// The smallest and largest value bucket `b` holds.
+    fn bounds(b: usize) -> (u64, u64) {
+        let b = b as u64;
+        if b < SUB_BUCKETS {
+            return (b, b);
+        }
+        let shift = b / SUB_BUCKETS - 1;
+        let low = (SUB_BUCKETS + b % SUB_BUCKETS) << shift;
+        (low, low + ((1u64 << shift) - 1))
+    }
+
+    fn record(&self, us: u64) {
+        self.buckets[Self::bucket(us)].fetch_add(1, Ordering::Relaxed);
+        self.max.fetch_max(us, Ordering::Relaxed);
+    }
+
+    fn summary(&self) -> LatencySummary {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let count: u64 = counts.iter().sum();
+        let max = self.max.load(Ordering::Relaxed);
+        // Nearest rank over the buckets, reported as the bucket midpoint
+        // (never above the largest sample seen).
+        let percentile = |p: f64| {
+            if count == 0 {
+                return 0;
+            }
+            let rank = ((p / 100.0) * count as f64).ceil().clamp(1.0, count as f64) as u64;
+            let mut seen = 0;
+            for (b, &n) in counts.iter().enumerate() {
+                seen += n;
+                if seen >= rank {
+                    let (low, high) = Self::bounds(b);
+                    return (low + (high - low) / 2).min(max);
+                }
+            }
+            max
+        };
+        LatencySummary {
+            count,
+            p50_us: percentile(50.0),
+            p95_us: percentile(95.0),
+            p99_us: percentile(99.0),
+            max_us: max,
+        }
+    }
+}
+
+/// Percentile summary over recorded microsecond samples (percentiles are
+/// within 1/16 of the true sample; `max_us` is exact).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatencySummary {
     pub count: u64,
@@ -393,27 +466,6 @@ pub struct LatencySummary {
     pub p95_us: u64,
     pub p99_us: u64,
     pub max_us: u64,
-}
-
-/// Nearest-rank percentile over a sorted sample set.
-pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-fn summarize(samples: &Mutex<Vec<u64>>) -> LatencySummary {
-    let mut v = samples.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    v.sort_unstable();
-    LatencySummary {
-        count: v.len() as u64,
-        p50_us: percentile(&v, 50.0),
-        p95_us: percentile(&v, 95.0),
-        p99_us: percentile(&v, 99.0),
-        max_us: v.last().copied().unwrap_or(0),
-    }
 }
 
 /// Point-in-time view of the service counters.
@@ -591,8 +643,8 @@ impl QueryService {
             plan_cache_misses: self.shared.cache.misses.load(Ordering::Relaxed),
             plan_cache_size: self.shared.cache.len(),
             leaked_bytes: m.leaked_bytes.load(Ordering::Relaxed),
-            latency: summarize(&m.latency_us),
-            queue_wait: summarize(&m.queue_wait_us),
+            latency: m.latency_us.summary(),
+            queue_wait: m.queue_wait_us.summary(),
         }
     }
 
@@ -658,7 +710,7 @@ fn worker_loop(shared: Arc<Shared>) {
         };
         let m = &shared.metrics;
         let queue_wait = job.submitted.elapsed();
-        ServiceMetrics::record_sample(&m.queue_wait_us, queue_wait.as_micros() as u64);
+        m.queue_wait_us.record(queue_wait.as_micros() as u64);
 
         // A query cancelled (or expired) while still waiting never runs.
         if let Some(reason) = job.ticket.cancel.fired() {
@@ -703,7 +755,7 @@ fn worker_loop(shared: Arc<Shared>) {
         match &outcome {
             Ok(_) => {
                 m.completed.fetch_add(1, Ordering::Relaxed);
-                ServiceMetrics::record_sample(&m.latency_us, elapsed.as_micros() as u64);
+                m.latency_us.record(elapsed.as_micros() as u64);
             }
             Err(EngineError::Cancelled) => {
                 m.cancelled.fetch_add(1, Ordering::Relaxed);
@@ -861,13 +913,61 @@ mod tests {
         assert_eq!(b.budget(), 0);
     }
 
+    /// `got` is within the histogram's 1/16 resolution of `want`.
+    fn close(got: u64, want: u64) -> bool {
+        got.abs_diff(want) * 16 <= want
+    }
+
     #[test]
     fn percentiles_nearest_rank() {
-        assert_eq!(percentile(&[], 50.0), 0);
-        assert_eq!(percentile(&[7], 99.0), 7);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 50.0), 50);
-        assert_eq!(percentile(&v, 95.0), 95);
-        assert_eq!(percentile(&v, 99.0), 99);
+        let h = LatencyHistogram::default();
+        assert_eq!(h.summary().p50_us, 0);
+        h.record(7);
+        assert_eq!(h.summary().p99_us, 7);
+        let h = LatencyHistogram::default();
+        for us in 1..=100 {
+            h.record(us);
+        }
+        let s = h.summary();
+        assert_eq!((s.count, s.max_us), (100, 100));
+        assert!(close(s.p50_us, 50), "{s:?}");
+        assert!(close(s.p95_us, 95), "{s:?}");
+        assert!(close(s.p99_us, 99), "{s:?}");
+    }
+
+    #[test]
+    fn histogram_buckets_cover_every_value_once() {
+        let mut last = None;
+        for b in 0..HISTOGRAM_BUCKETS {
+            let (low, high) = LatencyHistogram::bounds(b);
+            assert!(low <= high);
+            assert_eq!(LatencyHistogram::bucket(low), b);
+            assert_eq!(LatencyHistogram::bucket(high), b);
+            if let Some(prev) = last {
+                assert_eq!(low, prev + 1, "bucket {b} leaves a gap");
+            }
+            last = Some(high);
+            // The midpoint is within 1/16 of any value in the bucket.
+            let mid = low + (high - low) / 2;
+            assert!(close(mid, low) && close(mid, high), "bucket {b}");
+        }
+        assert_eq!(last, Some(u64::MAX));
+    }
+
+    #[test]
+    fn latency_histogram_never_goes_stale() {
+        let h = LatencyHistogram::default();
+        for _ in 0..64 * 1024 {
+            h.record(1_000);
+        }
+        assert!(close(h.summary().p50_us, 1_000));
+        for _ in 0..200 * 1024 {
+            h.record(100_000);
+        }
+        let s = h.summary();
+        assert_eq!(s.count, 264 * 1024);
+        assert_eq!(s.max_us, 100_000);
+        assert!(close(s.p50_us, 100_000), "p50 {} µs", s.p50_us);
+        assert!(close(s.p99_us, 100_000), "p99 {} µs", s.p99_us);
     }
 }

@@ -1,14 +1,20 @@
 //! Property tests for the runtime expression layer: navigation over the
-//! binary tuple encoding must agree with direct tree-model navigation, and
-//! evaluating an expression over a borrowed tuple field must give the same
-//! bytes as decoding the field and evaluating over the tree.
+//! binary tuple encoding must agree with direct tree-model navigation,
+//! running an expression's program over a borrowed tuple field must give
+//! the same bytes (or the same error) as a tree evaluator over the decoded
+//! field, and a fused ASSIGN/SELECT run must produce the frames its steps
+//! produce one operator at a time.
 
 use algebra::expr::Function;
-use dataflow::frame::frames_from_rows;
+use dataflow::frame::{frames_from_rows, Frame};
+use dataflow::ops::{BoxWriter, FrameWriter, FusedOp};
+use dataflow::DataflowError;
 use jdm::binary::{to_bytes, ItemRef};
 use jdm::{Item, Number};
 use proptest::prelude::*;
-use vxq_core::rtexpr::{keys_or_members, value_step, RtExpr, View, EXTRA_FIELD};
+use std::sync::{Arc, Mutex};
+use vxq_core::program::{Evaluator, Program, Step};
+use vxq_core::rtexpr::{apply, keys_or_members, value_step, RtExpr, View};
 
 fn arb_json(depth: u32) -> impl Strategy<Value = Item> {
     let leaf = prop_oneof![
@@ -27,18 +33,58 @@ fn arb_json(depth: u32) -> impl Strategy<Value = Item> {
     })
 }
 
+/// Run `e`'s program over a one-field tuple holding `field`: the result's
+/// bytes, or the error.
+fn run_program(e: &RtExpr, field: &Item) -> Result<Vec<u8>, DataflowError> {
+    let rows = vec![vec![to_bytes(field)]];
+    let frames = frames_from_rows(&rows, 64 * 1024);
+    let mut ev = Evaluator::new(Arc::new(Program::expr(e)));
+    ev.with_value(&frames[0].tuple(0), None, |v| {
+        let mut out = Vec::new();
+        v.write(&mut out);
+        Ok(out)
+    })
+}
+
 /// Evaluate `value(Field(0), key)` through the full tuple machinery.
 fn eval_value_via_tuple(item: &Item, key: &Item) -> Item {
-    let rows = vec![vec![to_bytes(item)]];
-    let frames = frames_from_rows(&rows, 64 * 1024);
-    let t = frames[0].tuple(0);
     let e = RtExpr::Call(
         Function::Value,
         vec![RtExpr::Field(0), RtExpr::Const(key.clone())],
     );
-    e.eval(&t)
-        .and_then(|v| v.into_item())
-        .expect("value never fails")
+    let bytes = run_program(&e, item).expect("value never fails");
+    ItemRef::new(&bytes)
+        .and_then(|r| r.to_item())
+        .expect("decodes")
+}
+
+/// The oracle: a recursive tree evaluator over decoded items, built from
+/// `rtexpr::apply` alone, so it shares no evaluation machinery with the
+/// programs it checks. Arguments evaluate left to right before the call.
+fn tree_eval(e: &RtExpr, field0: &Item) -> Result<Item, DataflowError> {
+    match e {
+        RtExpr::Field(0) => Ok(field0.clone()),
+        RtExpr::Field(i) => panic!("one-field tuples only, got field {i}"),
+        RtExpr::Const(item) => Ok(item.clone()),
+        RtExpr::Canon(inner) => tree_eval(inner, field0).map(canon),
+        RtExpr::Call(f, args) => {
+            let args = args
+                .iter()
+                .map(|a| tree_eval(a, field0))
+                .collect::<Result<Vec<_>, _>>()?;
+            apply(*f, args)
+        }
+    }
+}
+
+/// Key canonicalization over trees: singleton sequences unwrap, doubles
+/// holding exact integers narrow.
+fn canon(item: Item) -> Item {
+    match item {
+        Item::Sequence(mut v) if v.len() == 1 => canon(v.pop().expect("one member")),
+        Item::Number(n @ Number::Double(_)) => n.as_i64().map_or(item, Item::int),
+        other => other,
+    }
 }
 
 /// `value` over trees, for the oracle side.
@@ -118,27 +164,101 @@ fn arb_expr() -> impl Strategy<Value = RtExpr> {
     ];
     let operand = prop_oneof![path.clone(), literal.prop_map(RtExpr::Const)];
     let comparison = (cmp, path.clone(), operand).prop_map(|(f, a, b)| RtExpr::Call(f, vec![a, b]));
+    // Connectives nest: `and`/`or` of one to three operands, which may be
+    // connectives themselves (programs flatten nested `and`s and `or`s).
+    let connective =
+        prop_oneof![comparison.clone(), path.clone()].prop_recursive(2, 16, 3, |inner| {
+            (
+                prop_oneof![Just(Function::And), Just(Function::Or)],
+                prop::collection::vec(inner, 1..4),
+            )
+                .prop_map(|(f, args)| RtExpr::Call(f, args))
+        });
     prop_oneof![
         path.clone(),
         comparison.clone(),
         (comparison.clone(), comparison.clone())
             .prop_map(|(a, b)| RtExpr::Call(Function::And, vec![a, b])),
-        (comparison.clone(), path.clone())
-            .prop_map(|(a, b)| RtExpr::Call(Function::Or, vec![a, b])),
+        (comparison, path.clone()).prop_map(|(a, b)| RtExpr::Call(Function::Or, vec![a, b])),
+        connective,
         path.clone()
             .prop_map(|p| RtExpr::Call(Function::Not, vec![p])),
         path.prop_map(|p| RtExpr::Call(Function::Count, vec![p])),
     ]
 }
 
-/// The same expression reading the subplan's extra item instead of field 0.
-fn over_extra(e: &RtExpr) -> RtExpr {
+/// `e` with its reads of field 0 redirected to field `to`.
+fn reading(e: &RtExpr, to: usize) -> RtExpr {
     match e {
-        RtExpr::Field(0) => RtExpr::Field(EXTRA_FIELD),
-        RtExpr::Call(f, args) => RtExpr::Call(*f, args.iter().map(over_extra).collect()),
-        RtExpr::Canon(inner) => RtExpr::Canon(Box::new(over_extra(inner))),
+        RtExpr::Field(0) => RtExpr::Field(to),
+        RtExpr::Call(f, args) => RtExpr::Call(*f, args.iter().map(|a| reading(a, to)).collect()),
+        RtExpr::Canon(inner) => RtExpr::Canon(Box::new(reading(inner, to))),
         other => other.clone(),
     }
+}
+
+/// A frame as received: its size and its tuples' bytes.
+type LoggedFrame = (usize, Vec<Vec<u8>>);
+
+/// Records every frame it receives, tuple bytes and all.
+#[derive(Clone, Default)]
+struct FrameLog(Arc<Mutex<Vec<LoggedFrame>>>);
+
+impl FrameWriter for FrameLog {
+    fn open(&mut self) -> dataflow::Result<()> {
+        Ok(())
+    }
+    fn next_frame(&mut self, frame: &Frame) -> dataflow::Result<()> {
+        let tuples = frame.tuples().map(|t| t.bytes().to_vec()).collect();
+        self.0.lock().unwrap().push((frame.size(), tuples));
+        Ok(())
+    }
+    fn close(&mut self) -> dataflow::Result<()> {
+        Ok(())
+    }
+}
+
+/// Push `rows` through a chain of fused operators, one per group of
+/// `steps`: the frames that come out, or the first error.
+fn run_chain(rows: &[Vec<Item>], groups: &[&[Step<'_>]]) -> Result<Vec<LoggedFrame>, String> {
+    const FRAME: usize = 512;
+    let log = FrameLog::default();
+    let mut op: BoxWriter = Box::new(log.clone());
+    for steps in groups.iter().rev() {
+        let program = Arc::new(Program::run(steps));
+        op = Box::new(FusedOp::new(
+            program.name(),
+            Box::new(Evaluator::new(program)),
+            FRAME,
+            op,
+        ));
+    }
+    let encoded: Vec<Vec<Vec<u8>>> = rows
+        .iter()
+        .map(|r| r.iter().map(to_bytes).collect())
+        .collect();
+    let mut run = || -> dataflow::Result<()> {
+        op.open()?;
+        for f in frames_from_rows(&encoded, FRAME) {
+            op.next_frame(&f)?;
+        }
+        op.close()
+    };
+    run().map_err(|e| e.to_string())?;
+    let frames = log.0.lock().unwrap().clone();
+    Ok(frames)
+}
+
+/// Field 1 of a fused-run row: dates `dateTime()` parses, and values it
+/// rejects (a malformed string, a number) or maps to the empty sequence.
+fn arb_date_field() -> impl Strategy<Value = Item> {
+    prop_oneof![
+        Just(Item::str("20131225T06:30")),
+        Just(Item::str("20040101T00:00")),
+        Just(Item::str("not-a-date")),
+        Just(Item::int(7)),
+        Just(Item::empty()),
+    ]
 }
 
 proptest! {
@@ -171,27 +291,47 @@ proptest! {
 
     #[test]
     fn borrowed_evaluation_matches_decoded_evaluation(item in arb_value(), e in arb_expr()) {
-        let rows = vec![vec![to_bytes(&item)]];
-        let frames = frames_from_rows(&rows, 64 * 1024);
-        let t = frames[0].tuple(0);
-        let borrowed = e.eval(&t).map(|v| {
-            let mut out = Vec::new();
-            v.write(&mut out);
-            out
-        });
-        // Oracle: decode the field, then evaluate over the tree.
-        let decoded = ItemRef::new(t.field(0)).and_then(|r| r.to_item()).expect("decodes");
-        let e_tree = over_extra(&e);
-        let over_tree = e_tree.eval_with(&t, Some(View::Tree(&decoded))).map(|v| {
-            let mut out = Vec::new();
-            v.write(&mut out);
-            out
-        });
+        let borrowed = run_program(&e, &item);
+        // Oracle: decode the field, then evaluate the tree over it.
+        let decoded = ItemRef::new(&to_bytes(&item)).and_then(|r| r.to_item()).expect("decodes");
+        let over_tree = tree_eval(&e, &decoded).map(|v| to_bytes(&v));
         match (borrowed, over_tree) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{:?}", e),
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => panic!("{e:?}: borrowed {a:?} vs decoded {b:?}"),
+            (a, b) => panic!("{e:?}: program {a:?} vs tree {b:?}"),
         }
+    }
+
+    #[test]
+    fn fused_run_matches_one_operator_per_step(
+        rows in prop::collection::vec((arb_value(), arb_date_field()), 0..40),
+        first in arb_expr(),
+        parse_date in any::<bool>(),
+        cond in arb_expr(),
+        cond_reads_assigned in any::<bool>(),
+        second in arb_expr(),
+        second_reads_assigned in any::<bool>(),
+    ) {
+        // Input tuples are (value, date field); the run is assign → select
+        // → assign, adding fields 2 and 3. The first assign either computes
+        // over field 0 or parses field 1, failing on some rows; the later
+        // steps read field 0 or the first assign's field 2.
+        let rows: Vec<Vec<Item>> = rows.into_iter().map(|(v, d)| vec![v, d]).collect();
+        let first = if parse_date {
+            RtExpr::Call(Function::DateTime, vec![RtExpr::Field(1)])
+        } else {
+            first
+        };
+        let cond = if cond_reads_assigned { reading(&cond, 2) } else { cond };
+        let second = if second_reads_assigned { reading(&second, 2) } else { second };
+        let steps = [
+            Step::Assign { expr: &first, field: 2 },
+            Step::Select(&cond),
+            Step::Assign { expr: &second, field: 3 },
+        ];
+        let fused = run_chain(&rows, &[&steps]);
+        let split = run_chain(&rows, &[&steps[..1], &steps[1..2], &steps[2..]]);
+        prop_assert_eq!(fused, split);
     }
 
     #[test]
@@ -218,4 +358,42 @@ proptest! {
         let got = vxq_core::rtexpr::apply(Function::Count, vec![seq]).expect("count");
         prop_assert_eq!(got, Item::int(items.len() as i64));
     }
+}
+
+/// An assign that fails on a tuple the following select would drop still
+/// fails the fused run, as it fails the first of the separate operators.
+#[test]
+fn fused_run_surfaces_an_assign_error_on_a_dropped_tuple() {
+    let rows = vec![
+        vec![Item::Boolean(true), Item::str("20131225T06:30")],
+        vec![Item::Boolean(false), Item::str("not-a-date")],
+        vec![Item::Boolean(true), Item::str("20040101T00:00")],
+    ];
+    let parse = RtExpr::Call(Function::DateTime, vec![RtExpr::Field(1)]);
+    let keep = RtExpr::Field(0);
+    let year = RtExpr::Call(Function::YearFromDateTime, vec![RtExpr::Field(2)]);
+    let steps = [
+        Step::Assign {
+            expr: &parse,
+            field: 2,
+        },
+        Step::Select(&keep),
+        Step::Assign {
+            expr: &year,
+            field: 3,
+        },
+    ];
+    let fused = run_chain(&rows, &[&steps]);
+    let split = run_chain(&rows, &[&steps[..1], &steps[1..2], &steps[2..]]);
+    assert!(fused.is_err(), "the bad date must fail the run: {fused:?}");
+    assert_eq!(fused, split);
+
+    // Without the bad row both keep the two selected tuples.
+    let good = [rows[0].clone(), rows[2].clone()];
+    let fused = run_chain(&good, &[&steps]).expect("runs");
+    assert_eq!(fused.iter().map(|(_, t)| t.len()).sum::<usize>(), 2);
+    assert_eq!(
+        Ok(fused),
+        run_chain(&good, &[&steps[..1], &steps[1..2], &steps[2..]])
+    );
 }
