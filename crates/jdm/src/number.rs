@@ -14,8 +14,9 @@ use std::hash::{Hash, Hasher};
 pub enum Number {
     /// Exact integer.
     Int(i64),
-    /// IEEE-754 double. NaN is not constructible from JSON text, but the
-    /// total order below handles it defensively (NaN sorts last).
+    /// IEEE-754 double. NaN is not constructible from JSON text, only by
+    /// arithmetic (`0 div 0`): value comparisons treat it as unordered
+    /// ([`Number::partial_num_cmp`]), the total order sorts it last.
     Double(f64),
 }
 
@@ -51,22 +52,23 @@ impl Number {
         }
     }
 
-    /// Numeric comparison under promotion; NaN sorts after everything.
+    /// Numeric comparison under promotion, as value comparisons see it
+    /// (XQuery's `op:numeric-*`): `None` when either side is NaN, which is
+    /// unordered.
+    #[inline]
+    pub fn partial_num_cmp(self, other: Number) -> Option<Ordering> {
+        match (self, other) {
+            (Number::Int(a), Number::Int(b)) => Some(a.cmp(&b)),
+            _ => self.as_f64().partial_cmp(&other.as_f64()),
+        }
+    }
+
+    /// Numeric comparison under promotion, a total order for sorting and
+    /// `min`/`max`: NaN equals NaN and sorts after everything else.
     #[inline]
     pub fn num_cmp(self, other: Number) -> Ordering {
-        match (self, other) {
-            (Number::Int(a), Number::Int(b)) => a.cmp(&b),
-            _ => {
-                let (a, b) = (self.as_f64(), other.as_f64());
-                a.partial_cmp(&b)
-                    .unwrap_or_else(|| match (a.is_nan(), b.is_nan()) {
-                        (true, true) => Ordering::Equal,
-                        (true, false) => Ordering::Greater,
-                        (false, true) => Ordering::Less,
-                        (false, false) => unreachable!("partial_cmp failed on non-NaN"),
-                    })
-            }
-        }
+        self.partial_num_cmp(other)
+            .unwrap_or_else(|| self.as_f64().is_nan().cmp(&other.as_f64().is_nan()))
     }
 
     /// Addition with integer-exactness preserved when both sides are ints
@@ -236,6 +238,26 @@ mod tests {
         assert_eq!(v[2], Number::Double(2.5));
         assert_eq!(v[3], Number::Int(3));
         assert!(v[4].as_f64().is_nan());
+    }
+
+    #[test]
+    fn nan_is_unordered_for_value_comparisons() {
+        let nan = Number::Double(f64::NAN);
+        assert_eq!(nan.partial_num_cmp(nan), None);
+        assert_eq!(nan.partial_num_cmp(Number::Int(1)), None);
+        assert_eq!(Number::Double(1.0).partial_num_cmp(nan), None);
+        assert_eq!(
+            Number::Int(1).partial_num_cmp(Number::Double(1.5)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Number::Double(-0.0).partial_num_cmp(Number::Int(0)),
+            Some(Ordering::Equal)
+        );
+        // The total order still places NaN, equal to itself, last.
+        assert_eq!(nan.num_cmp(nan), Ordering::Equal);
+        assert_eq!(nan.num_cmp(Number::Int(i64::MAX)), Ordering::Greater);
+        assert_eq!(Number::Double(f64::INFINITY).num_cmp(nan), Ordering::Less);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   first use;
 //! * constants are resolved once per program: a call whose arguments are
 //!   all constants is folded, identity coercions (`promote`, `data`,
-//!   `treat`, `iterate`) alias their argument, and a `value` step's
-//!   constant key is resolved once;
+//!   `treat`, `iterate`) alias their argument, a `value` step's
+//!   constant key is resolved once, and a comparison with an atomic
+//!   constant is one typed op with the constant unboxed;
 //! * scalars sit unboxed in registers ([`View`]); only constructed
 //!   sequences, arrays and objects are owned [`Item`]s.
 //!
@@ -30,8 +31,8 @@
 //! expression tree.
 
 use crate::rtexpr::{
-    arity_error, call1, call2, canonicalize, compare, connective, ebv, number_or_err, select,
-    value_step, RtExpr, Selector, Val, View, EXTRA_FIELD,
+    arity_error, call1, call2, canonicalize, compare, compare_const, connective, ebv, flipped,
+    number_or_err, select, value_step, Atom, RtExpr, Selector, Val, View, EXTRA_FIELD,
 };
 use algebra::expr::{AggFunc, Function};
 use dataflow::ops::{NewFields, ScalarEvaluator, TupleProgram};
@@ -59,13 +60,15 @@ enum Op {
     /// `value` with a computed key.
     Value(Src, Src),
     Compare(Function, Src, Src),
-    /// A comparison of a function of one argument with a constant,
-    /// `cmp(func(arg), rhs)`, without a register for `func(arg)`.
-    CompareCall {
+    /// A comparison with an atomic constant: `cmp(func(arg), constant)`,
+    /// or `cmp(arg, constant)` without `func`, with no register for
+    /// `func(arg)`. A constant on the left is lowered to the right with
+    /// the comparison flipped.
+    CompareConst {
         cmp: Function,
-        func: Function,
+        func: Option<Function>,
         arg: Src,
-        rhs: Src,
+        constant: Atom,
     },
     /// `and` / `or` over every argument.
     Connective(Function, Box<[Src]>),
@@ -191,6 +194,9 @@ impl Builder {
                 let args = self.lower_operands(*f, e);
                 self.op(Op::Connective(*f, args.clone().into()), *f, &args)
             }
+            RtExpr::Call(f @ (Eq | Ne | Ge | Le | Gt | Lt), args) if args.len() == 2 => {
+                self.lower_compare(*f, &args[0], &args[1])
+            }
             RtExpr::Call(f, args) => match args.as_slice() {
                 [a] => {
                     let a = self.lower(a);
@@ -199,33 +205,12 @@ impl Builder {
                         _ => self.op(Op::Call1(*f, a), *f, &[a]),
                     }
                 }
-                [RtExpr::Call(func, inner), rhs @ RtExpr::Const(_)]
-                    if matches!(f, Eq | Ne | Ge | Le | Gt | Lt)
-                        && inner.len() == 1
-                        && !matches!(func, Promote | Data | TreatItem | Iterate | And | Or) =>
-                {
-                    // The constant side has no ops, so computing
-                    // `func(arg)` inside the comparison keeps the order.
-                    let arg = self.lower(&inner[0]);
-                    let rhs = self.lower(rhs);
-                    if self.const_item(arg).is_none() {
-                        return self.push(Op::CompareCall {
-                            cmp: *f,
-                            func: *func,
-                            arg,
-                            rhs,
-                        });
-                    }
-                    let lhs = self.op(Op::Call1(*func, arg), *func, &[arg]);
-                    self.op(Op::Compare(*f, lhs, rhs), *f, &[lhs, rhs])
-                }
                 [a, b] => {
                     let a = self.lower(a);
                     let b = self.lower(b);
                     let op = match (f, self.const_item(b)) {
                         (Value, Some(key)) => Op::Select(a, owned_selector(key)),
                         (Value, None) => Op::Value(a, b),
-                        (Eq | Ne | Ge | Le | Gt | Lt, _) => Op::Compare(*f, a, b),
                         _ => Op::Call2(*f, a, b),
                     };
                     self.op(op, *f, &[a, b])
@@ -233,6 +218,39 @@ impl Builder {
                 _ => self.push(Op::Fail(*f)),
             },
         }
+    }
+
+    /// `cmp(a, b)`. When one side folds to an atomic constant and the
+    /// other does not, this is one [`Op::CompareConst`] over the other
+    /// side, which also absorbs that side's function of one argument. The
+    /// constant side has no ops, so the order of evaluation is the tree's.
+    fn lower_compare(&mut self, cmp: Function, a: &RtExpr, b: &RtExpr) -> Src {
+        use Function::*;
+        let typed = match (folded(a), folded(b)) {
+            (None, Some(c)) => Atom::of(&c).map(|c| (cmp, a, c)),
+            (Some(c), None) => Atom::of(&c).map(|c| (flipped(cmp), b, c)),
+            _ => None,
+        };
+        let Some((cmp, other, constant)) = typed else {
+            let a = self.lower(a);
+            let b = self.lower(b);
+            return self.op(Op::Compare(cmp, a, b), cmp, &[a, b]);
+        };
+        let (func, arg) = match other {
+            RtExpr::Call(f, inner)
+                if inner.len() == 1
+                    && !matches!(f, Promote | Data | TreatItem | Iterate | And | Or) =>
+            {
+                (Some(*f), self.lower(&inner[0]))
+            }
+            other => (None, self.lower(other)),
+        };
+        self.push(Op::CompareConst {
+            cmp,
+            func,
+            arg,
+            constant,
+        })
     }
 
     /// The operands of connective `f` at `e`, with nested applications
@@ -259,6 +277,27 @@ impl Builder {
             regs: self.regs as usize,
             name,
         }
+    }
+}
+
+/// The constant `e` folds to; `None` when it reads a field, or when
+/// evaluating it fails (it then stays ops that fail per tuple).
+fn folded(e: &RtExpr) -> Option<Item> {
+    fn reads_field(e: &RtExpr) -> bool {
+        match e {
+            RtExpr::Field(_) => true,
+            RtExpr::Const(_) => false,
+            RtExpr::Call(_, args) => args.iter().any(reads_field),
+            RtExpr::Canon(inner) => reads_field(inner),
+        }
+    }
+    if reads_field(e) {
+        return None;
+    }
+    let mut b = Builder::default();
+    match b.lower(e) {
+        Src::Const(i) => Some(b.consts.swap_remove(i as usize)),
+        Src::Reg(_) => None,
     }
 }
 
@@ -405,15 +444,17 @@ impl Program {
                     self.view(regs, *a),
                     self.view(regs, *b),
                 ))),
-                Op::CompareCall {
+                Op::CompareConst {
                     cmp,
                     func,
                     arg,
-                    rhs,
-                } => {
-                    let lhs = call1(*func, self.view(regs, *arg))?;
-                    Val::Borrowed(View::Bool(compare(*cmp, lhs.view(), self.view(regs, *rhs))))
-                }
+                    constant,
+                } => Val::Borrowed(View::Bool(compare_const(
+                    *cmp,
+                    *func,
+                    self.view(regs, *arg),
+                    constant,
+                )?)),
                 Op::Connective(f, args) => Val::Borrowed(View::Bool(connective(
                     *f,
                     args.iter().map(|a| self.view(regs, *a)),
@@ -693,6 +734,7 @@ impl ScalarEvaluator for Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use algebra::{LogicalExpr, LogicalOp, RuleConfig, RuleSet, VarId};
     use dataflow::frame::frames_from_rows;
     use jdm::binary::to_bytes;
 
@@ -870,6 +912,134 @@ mod tests {
             .map(|t| ev.with_value(&t, None, |v| Ok(v.is_true())).unwrap())
             .collect();
         assert_eq!(got, [true, false, false]);
+    }
+
+    /// `query`'s optimized SELECT condition, each variable read as the
+    /// tuple field numbered by its first appearance.
+    fn select_condition(query: &str, rules: RuleConfig) -> RtExpr {
+        fn lower(e: &LogicalExpr, vars: &mut Vec<VarId>) -> RtExpr {
+            match e {
+                LogicalExpr::Var(v) => RtExpr::Field(match vars.iter().position(|x| x == v) {
+                    Some(i) => i,
+                    None => {
+                        vars.push(*v);
+                        vars.len() - 1
+                    }
+                }),
+                LogicalExpr::Const(item) => RtExpr::Const(item.clone()),
+                LogicalExpr::Call(f, args) => {
+                    RtExpr::Call(*f, args.iter().map(|a| lower(a, vars)).collect())
+                }
+            }
+        }
+        let mut plan = jsoniq::compile(query).expect("compiles");
+        RuleSet::for_config(rules).optimize(&mut plan);
+        let mut cond = None;
+        plan.root.visit(&mut |op| {
+            if let LogicalOp::Select { cond: c, .. } = op {
+                assert!(cond.replace(c.clone()).is_none(), "one select");
+            }
+        });
+        lower(&cond.expect("a select"), &mut Vec::new())
+    }
+
+    #[test]
+    fn q0_guards_are_three_typed_date_comparisons() {
+        use crate::queries::{Q0, Q0B};
+        let date = |s| Item::DateTime(jdm::DateTime::parse(s).unwrap());
+        for (query, rules) in [
+            (Q0, RuleConfig::all()),
+            (Q0B, RuleConfig::all()),
+            (Q0, RuleConfig::none()),
+        ] {
+            let cond = select_condition(query, rules);
+            let program = Program::run(&[Step::Select(&cond)]);
+            let typed = program
+                .ops
+                .iter()
+                .filter(|op| {
+                    matches!(
+                        op,
+                        Op::CompareConst {
+                            func: Some(
+                                Function::YearFromDateTime
+                                    | Function::MonthFromDateTime
+                                    | Function::DayFromDateTime
+                            ),
+                            constant: Atom::Num(Number::Int(_)),
+                            ..
+                        }
+                    )
+                })
+                .count();
+            assert_eq!(typed, 3, "{:?}", program.ops);
+            assert!(
+                program.ops.iter().all(|op| matches!(
+                    op,
+                    Op::Field(_) | Op::CompareConst { .. } | Op::GuardAll(_)
+                )),
+                "{:?}",
+                program.ops
+            );
+            let kept = |d| run(program.clone(), &[date(d)]).is_some();
+            assert!(kept("20031225T00:00"));
+            assert!(!kept("20021225T00:00"));
+            assert!(!kept("20031224T00:00"));
+            assert!(!kept("20031125T00:00"));
+        }
+    }
+
+    #[test]
+    fn a_constant_on_the_left_flips_the_comparison() {
+        // `2003 le year-from-dateTime($0)` is `year-from-dateTime($0) ge 2003`.
+        let year = call(Function::YearFromDateTime, vec![RtExpr::Field(0)]);
+        let e = call(Function::Le, vec![RtExpr::Const(Item::int(2003)), year]);
+        let program = Program::expr(&e);
+        assert!(
+            matches!(
+                program.ops.as_slice(),
+                [
+                    Op::Field(0),
+                    Op::CompareConst {
+                        cmp: Function::Ge,
+                        func: Some(Function::YearFromDateTime),
+                        arg: Src::Reg(0),
+                        constant: Atom::Num(Number::Int(2003)),
+                    }
+                ]
+            ),
+            "{:?}",
+            program.ops
+        );
+        for (d, want) in [("20021231T23:59", false), ("20030101T00:00", true)] {
+            let d = Item::DateTime(jdm::DateTime::parse(d).unwrap());
+            assert_eq!(run(program.clone(), &[d]), Some(vec![Item::Boolean(want)]));
+        }
+    }
+
+    #[test]
+    fn non_atomic_constants_keep_the_general_comparison() {
+        for (constant, field, eq) in [
+            (Item::empty(), Item::empty(), false),
+            (Item::Array(vec![Item::int(1)]), Item::int(1), false),
+            (Item::seq([Item::int(1), Item::int(2)]), Item::int(2), true),
+        ] {
+            let e = call(
+                Function::Eq,
+                vec![RtExpr::Field(0), RtExpr::Const(constant.clone())],
+            );
+            let program = Program::expr(&e);
+            assert!(
+                matches!(program.ops.as_slice(), [Op::Field(0), Op::Compare(..)]),
+                "{:?}",
+                program.ops
+            );
+            assert_eq!(
+                run(program, &[field]),
+                Some(vec![Item::Boolean(eq)]),
+                "{constant:?}"
+            );
+        }
     }
 
     #[test]

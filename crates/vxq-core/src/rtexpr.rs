@@ -22,7 +22,8 @@
 //! * `value` and `keys-or-members` **map over sequences** (a path step on
 //!   a sequence applies to each item and concatenates);
 //! * value comparisons on empty sequences are `false` (a missing key
-//!   never matches), and comparisons over sequences are existential;
+//!   never matches), comparisons over sequences are existential, and NaN
+//!   is unordered (of the six comparisons only `ne` holds);
 //! * arithmetic propagates the empty sequence.
 //!
 //! Data that breaks an operator's typing (a bad `dateTime` string,
@@ -614,19 +615,99 @@ fn singleton(v: View<'_>) -> Option<View<'_>> {
     }
 }
 
-/// Value comparison: atomics compare by type; empty sequences never
-/// match; proper sequences compare existentially (any pair).
+/// Value comparison: atomics compare by type (NaN is unordered: only `ne`
+/// holds); empty sequences never match; proper sequences compare
+/// existentially (any pair).
 #[inline]
 pub(crate) fn compare(f: Function, lhs: View<'_>, rhs: View<'_>) -> bool {
     let ord = match (lhs.atom(), rhs.atom()) {
-        (View::Num(a), View::Num(b)) => a.num_cmp(b),
-        (View::Str(a), View::Str(b)) => a.cmp(b),
-        (View::Bool(a), View::Bool(b)) => a.cmp(&b),
-        (View::DateTime(a), View::DateTime(b)) => a.cmp(&b),
-        (View::Null, View::Null) => Ordering::Equal,
+        (View::Num(a), View::Num(b)) => a.partial_num_cmp(b),
+        (View::Str(a), View::Str(b)) => Some(a.cmp(b)),
+        (View::Bool(a), View::Bool(b)) => Some(a.cmp(&b)),
+        (View::DateTime(a), View::DateTime(b)) => Some(a.cmp(&b)),
+        (View::Null, View::Null) => Some(Ordering::Equal),
         _ => return compare_mixed(f, lhs, rhs),
     };
     holds(f, ord)
+}
+
+/// An atomic constant, unboxed once when a program is built: what a
+/// comparison with a constant compares against.
+#[derive(Debug, Clone)]
+pub(crate) enum Atom {
+    Null,
+    Bool(bool),
+    Num(Number),
+    DateTime(DateTime),
+    Str(Box<str>),
+}
+
+impl Atom {
+    /// `item` when it is atomic; `None` for arrays, objects and sequences.
+    pub(crate) fn of(item: &Item) -> Option<Atom> {
+        Some(match item {
+            Item::Null => Atom::Null,
+            Item::Boolean(b) => Atom::Bool(*b),
+            Item::Number(n) => Atom::Num(*n),
+            Item::DateTime(d) => Atom::DateTime(*d),
+            Item::String(s) => Atom::Str(s.clone()),
+            Item::Array(_) | Item::Object(_) | Item::Sequence(_) => return None,
+        })
+    }
+
+    fn view(&self) -> View<'_> {
+        match self {
+            Atom::Null => View::Null,
+            Atom::Bool(b) => View::Bool(*b),
+            Atom::Num(n) => View::Num(*n),
+            Atom::DateTime(d) => View::DateTime(*d),
+            Atom::Str(s) => View::Str(s),
+        }
+    }
+}
+
+/// `cmp(func(arg), c)` — `cmp(arg, c)` without `func` — for an atomic
+/// constant `c`. A date accessor over a dateTime, and a comparison of an
+/// atomic of `c`'s type, run inline; everything else is [`call1`] and
+/// [`compare`].
+#[inline]
+pub(crate) fn compare_const(
+    cmp: Function,
+    func: Option<Function>,
+    arg: View<'_>,
+    c: &Atom,
+) -> Result<bool> {
+    use Function::*;
+    let lhs = match (func, arg.atom()) {
+        (None, lhs) => lhs,
+        (Some(f @ (YearFromDateTime | MonthFromDateTime | DayFromDateTime)), View::DateTime(d)) => {
+            View::Num(Number::Int(part_of(f, d)))
+        }
+        (Some(f), _) => return Ok(compare(cmp, call1(f, arg)?.view(), c.view())),
+    };
+    let ord = match (lhs, c) {
+        (View::Num(a), Atom::Num(b)) => a.partial_num_cmp(*b),
+        (View::Str(a), Atom::Str(b)) => Some(a.as_bytes().cmp(b.as_bytes())),
+        (View::DateTime(a), Atom::DateTime(b)) => Some(a.cmp(b)),
+        (View::Bool(a), Atom::Bool(b)) => Some(a.cmp(b)),
+        (View::Null, Atom::Null) => Some(Ordering::Equal),
+        _ => return Ok(compare(cmp, lhs, c.view())),
+    };
+    Ok(holds(cmp, ord))
+}
+
+/// The comparison that holds for `b cmp a` exactly when `cmp` holds for
+/// `a cmp b`.
+pub(crate) fn flipped(cmp: Function) -> Function {
+    use Function::*;
+    match cmp {
+        Lt => Gt,
+        Gt => Lt,
+        Le => Ge,
+        Ge => Le,
+        Eq | Ne => cmp,
+        _ => unreachable!("not a comparison"),
+    }
 }
 
 /// [`compare`] when the two sides are not atomics of one type.
@@ -642,9 +723,13 @@ fn compare_mixed(f: Function, lhs: View<'_>, rhs: View<'_>) -> bool {
     f == Function::Ne
 }
 
-/// Whether comparison `f` holds for two items ordered `ord`.
+/// Whether comparison `f` holds for two items ordered `ord`; `None` is
+/// unordered (a NaN), for which only `ne` holds.
 #[inline]
-fn holds(f: Function, ord: Ordering) -> bool {
+fn holds(f: Function, ord: Option<Ordering>) -> bool {
+    let Some(ord) = ord else {
+        return f == Function::Ne;
+    };
     match f {
         Function::Eq => ord == Ordering::Equal,
         Function::Ne => ord != Ordering::Equal,
@@ -811,19 +896,69 @@ mod tests {
         assert!(apply(Function::Add, vec![Item::str("x"), Item::int(1)]).is_err());
     }
 
-    /// Run `e` as a program over a one-field tuple holding `field`.
-    fn eval_over(e: &RtExpr, field: &Item, check: impl FnOnce(View<'_>)) {
+    /// Run `e` as a program over one tuple of `fields`: `check` of its
+    /// value.
+    fn eval_over<R>(e: &RtExpr, fields: &[Item], check: impl FnOnce(View<'_>) -> R) -> R {
         use crate::program::{Evaluator, Program};
         use dataflow::frame::frames_from_rows;
         use jdm::binary::to_bytes;
-        let rows = vec![vec![to_bytes(field)]];
+        let rows = vec![fields.iter().map(to_bytes).collect()];
         let frames = frames_from_rows(&rows, 1024);
         let mut ev = Evaluator::new(std::sync::Arc::new(Program::expr(e)));
-        ev.with_value(&frames[0].tuple(0), None, |v| {
-            check(v);
-            Ok(())
-        })
-        .unwrap();
+        ev.with_value(&frames[0].tuple(0), None, |v| Ok(check(v)))
+            .unwrap()
+    }
+
+    /// The value of `e` as a program over one tuple of `fields`.
+    fn eval_row(e: &RtExpr, fields: &[Item]) -> Item {
+        eval_over(e, fields, |v| v.to_item().unwrap())
+    }
+
+    #[test]
+    fn nan_is_unordered_in_every_comparison() {
+        use Function::*;
+        let int = |i| RtExpr::Const(Item::int(i));
+        let div = |a, b| RtExpr::Call(Div, vec![a, b]);
+        // Field 0 holds 0 and field 1 holds 1: `$0 div $0` is a NaN
+        // computed per tuple, `0 div 0` a NaN folded at compile time.
+        let reg_nan = || div(RtExpr::Field(0), RtExpr::Field(0));
+        let reg_one = || RtExpr::Field(1);
+        let const_nan = || div(int(0), int(0));
+        const OPS: [Function; 6] = [Eq, Ne, Lt, Le, Gt, Ge];
+        const UNORDERED: [bool; 6] = [false, true, false, false, false, false];
+        let cases = [
+            // Register against register.
+            (reg_nan(), reg_nan(), UNORDERED),
+            (reg_nan(), reg_one(), UNORDERED),
+            (reg_one(), reg_nan(), UNORDERED),
+            // Register against constant, on either side.
+            (reg_nan(), int(1), UNORDERED),
+            (int(1), reg_nan(), UNORDERED),
+            (reg_one(), const_nan(), UNORDERED),
+            (const_nan(), reg_one(), UNORDERED),
+            (reg_nan(), const_nan(), UNORDERED),
+            // Folded constants.
+            (const_nan(), const_nan(), UNORDERED),
+            (const_nan(), int(1), UNORDERED),
+            // Ordered numbers, for contrast.
+            (reg_one(), int(2), [false, true, true, true, false, false]),
+            (int(2), reg_one(), [false, true, false, false, true, true]),
+            (
+                reg_one(),
+                RtExpr::Const(Item::double(1.0)),
+                [true, false, false, true, false, true],
+            ),
+        ];
+        let row = [Item::int(0), Item::int(1)];
+        for (lhs, rhs, want) in cases {
+            for (f, want) in OPS.into_iter().zip(want) {
+                let e = RtExpr::Call(f, vec![lhs.clone(), rhs.clone()]);
+                assert_eq!(eval_row(&e, &row), Item::Boolean(want), "{e:?}");
+                // `apply` over the operands' values agrees.
+                let args = vec![eval_row(&lhs, &row), eval_row(&rhs, &row)];
+                assert_eq!(apply(f, args).unwrap(), Item::Boolean(want), "{e:?}");
+            }
+        }
     }
 
     #[test]
@@ -833,7 +968,7 @@ mod tests {
             vec![RtExpr::Field(0), RtExpr::Const(Item::str("k"))],
         );
         // The field read and the value step borrow from the tuple.
-        eval_over(&e, &obj(r#"{"k": 42}"#), |v| {
+        eval_over(&e, &[obj(r#"{"k": 42}"#)], |v| {
             assert!(matches!(v, View::Ref(_)), "{v:?}");
             assert_eq!(v.to_item().unwrap(), Item::int(42));
         });
@@ -853,9 +988,11 @@ mod tests {
             ),
         ] {
             let mut out = Vec::new();
-            eval_over(&RtExpr::Canon(Box::new(RtExpr::Field(0))), &field, |v| {
-                v.write(&mut out)
-            });
+            eval_over(
+                &RtExpr::Canon(Box::new(RtExpr::Field(0))),
+                std::slice::from_ref(&field),
+                |v| v.write(&mut out),
+            );
             assert_eq!(out, to_bytes(&canonical), "{field:?}");
         }
     }

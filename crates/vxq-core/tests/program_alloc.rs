@@ -1,8 +1,9 @@
 //! Flat evaluation allocates nothing per tuple: the Q0 run — ASSIGN
 //! `dateTime(data($r("date")))`, then SELECT on its year, month and day —
 //! runs over 10k tuples without a single heap allocation once its register
-//! file and output buffer have been sized by a first pass; so does a
-//! program too large to keep its registers on the stack.
+//! file and output buffer have been sized by a first pass; so do Q1's
+//! filter against a string constant and a program too large to keep its
+//! registers on the stack.
 //!
 //! The counting allocator is this test binary's global allocator and counts
 //! per thread, so each test sees only its own allocations.
@@ -142,6 +143,59 @@ fn q0_program_allocates_nothing_per_tuple() {
     let made = allocations() - before;
     assert_eq!(kept, warm);
     assert_eq!(kept, TUPLES / 50, "every December 25 from 2003 on is kept");
+    assert_eq!(made, 0, "{made} allocations over {TUPLES} tuples");
+}
+
+#[test]
+fn q1_string_filter_allocates_nothing_per_tuple() {
+    const TUPLES: usize = 10_000;
+    let types = ["TMIN", "TMAX", "PRCP", "TMI", "TMINX"];
+    let rows: Vec<Vec<Vec<u8>>> = (0..TUPLES)
+        .map(|i| {
+            let record = Item::Object(vec![
+                ("date".into(), Item::str("20131225T00:00")),
+                ("dataType".into(), Item::str(types[i % types.len()])),
+                ("station".into(), Item::str(format!("GSW{:06}", i % 40))),
+            ]);
+            vec![to_bytes(&record)]
+        })
+        .collect();
+    let frames = frames_from_rows(&rows, 32 * 1024);
+    // SELECT data($r("dataType")) eq "TMIN"
+    let cond = call(
+        Function::Eq,
+        vec![
+            call(
+                Function::Data,
+                vec![call(
+                    Function::Value,
+                    vec![RtExpr::Field(0), RtExpr::Const(Item::str("dataType"))],
+                )],
+            ),
+            RtExpr::Const(Item::str("TMIN")),
+        ],
+    );
+    let mut eval = Evaluator::new(Arc::new(Program::run(&[Step::Select(&cond)])));
+    let mut fields = NewFields::default();
+    let mut pass = || {
+        let mut kept = 0;
+        for frame in &frames {
+            for t in frame.tuples() {
+                fields.clear();
+                if TupleProgram::eval(&mut eval, &t, &mut fields).expect("evaluates") {
+                    kept += 1;
+                }
+            }
+        }
+        kept
+    };
+
+    let warm = pass();
+    let before = allocations();
+    let kept = pass();
+    let made = allocations() - before;
+    assert_eq!(kept, warm);
+    assert_eq!(kept, TUPLES / types.len(), "only TMIN is kept");
     assert_eq!(made, 0, "{made} allocations over {TUPLES} tuples");
 }
 

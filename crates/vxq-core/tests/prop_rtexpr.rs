@@ -94,10 +94,31 @@ fn tree_value_step(item: &Item, key: &Item) -> Item {
         .expect("value never fails")
 }
 
+fn date(s: &str) -> Item {
+    Item::DateTime(jdm::DateTime::parse(s).expect("a valid date"))
+}
+
+/// Strings `dateTime()` parses — in every accepted shape, around the
+/// December 25, 2003 that Q0 selects — and strings it rejects.
+fn arb_date_string() -> impl Strategy<Value = Item> {
+    prop_oneof![
+        Just("20031225T06:30"),
+        Just("20021225T00:00"),
+        Just("20031224T23:59"),
+        Just("2003-12-25T00:00:00"),
+        Just("20032512T00:00"),
+        Just("20031332T00:00"),
+        Just("2003-12-25"),
+        Just("+2003-12-25T00:00"),
+    ]
+    .prop_map(Item::str)
+}
+
 /// Values from a small domain — keys `a`/`b`, short strings over `a`/`b`,
-/// small numbers — plus sequences (at the top and nested), so value steps
-/// hit, comparisons tie, and sequence mapping, flattening and existential
-/// comparison are all exercised.
+/// small numbers, signed zeros and NaN, date strings and dateTimes — plus
+/// sequences (at the top and nested), so value steps hit, comparisons tie,
+/// and sequence mapping, flattening and existential comparison are all
+/// exercised.
 fn arb_value() -> impl Strategy<Value = Item> {
     let leaf = prop_oneof![
         Just(Item::Null),
@@ -105,11 +126,15 @@ fn arb_value() -> impl Strategy<Value = Item> {
         (-1i64..3).prop_map(Item::int),
         (-1i64..3).prop_map(|i| Item::double(i as f64)),
         Just(Item::double(0.5)),
+        prop_oneof![Just(f64::NAN), Just(-0.0)].prop_map(Item::double),
         "[ab]{0,2}".prop_map(Item::str),
         "[ab]{1,2}".prop_map(Item::str),
+        arb_date_string(),
+        arb_date_string(),
+        Just(date("20031225T00:00")),
         Just(Item::empty()),
     ];
-    leaf.prop_recursive(2, 24, 3, |inner| {
+    let nested = leaf.clone().prop_recursive(2, 24, 3, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..4).prop_map(Item::Array),
             prop::collection::vec(("[ab]{1,1}", inner.clone()), 0..4).prop_map(|pairs| {
@@ -117,22 +142,55 @@ fn arb_value() -> impl Strategy<Value = Item> {
             }),
             prop::collection::vec(inner, 0..4).prop_map(Item::Sequence),
         ]
-    })
+    });
+    // Half the inputs are a bare atomic, which comparisons see directly.
+    prop_oneof![leaf, nested]
+}
+
+/// `0 div 0`: a NaN the program folds into a constant.
+fn nan() -> RtExpr {
+    RtExpr::Call(
+        Function::Div,
+        vec![RtExpr::Const(Item::int(0)), RtExpr::Const(Item::int(0))],
+    )
+}
+
+/// `cmp(a, b)`, or the same comparison with its sides swapped.
+fn compare((f, a, b, swap): (Function, RtExpr, RtExpr, bool)) -> RtExpr {
+    RtExpr::Call(f, if swap { vec![b, a] } else { vec![a, b] })
 }
 
 /// Expressions over one input (`Field(0)`): paths of value steps with
 /// present and missing keys and positions, keys-or-members and key
 /// canonicalization; comparisons of paths against literals of every type
-/// and against each other; boolean connectives and counts over them.
+/// (on either side, NaN included) and against each other; date parts of
+/// `dateTime(path)` against literals; boolean connectives and counts over
+/// them.
 fn arb_expr() -> impl Strategy<Value = RtExpr> {
+    arb_expr_of(true)
+}
+
+/// [`arb_expr`] without `dateTime()`: expressions that never fail.
+fn arb_total_expr() -> impl Strategy<Value = RtExpr> {
+    arb_expr_of(false)
+}
+
+fn arb_expr_of(dates: bool) -> impl Strategy<Value = RtExpr> {
     let literal = prop_oneof![
         "[ab]{0,2}".prop_map(Item::str),
         "[ab]{1,1}".prop_map(Item::str),
         (-1i64..4).prop_map(Item::int),
         Just(Item::double(1.0)),
+        prop_oneof![Just(0.0), Just(-0.0), Just(0.5)].prop_map(Item::double),
         any::<bool>().prop_map(Item::Boolean),
         Just(Item::Null),
         Just(Item::empty()),
+        Just(date("20031225T00:00")),
+    ];
+    let literal = prop_oneof![
+        literal.clone().prop_map(RtExpr::Const),
+        literal.prop_map(RtExpr::Const),
+        Just(nan()),
     ];
     let key = prop_oneof![
         "[ab]{1,1}".prop_map(Item::str),
@@ -162,8 +220,46 @@ fn arb_expr() -> impl Strategy<Value = RtExpr> {
         Just(Function::Gt),
         Just(Function::Ge),
     ];
-    let operand = prop_oneof![path.clone(), literal.prop_map(RtExpr::Const)];
-    let comparison = (cmp, path.clone(), operand).prop_map(|(f, a, b)| RtExpr::Call(f, vec![a, b]));
+    let operand = prop_oneof![path.clone(), literal.clone()];
+    // Mostly a path against an operand; sometimes two literals, folded.
+    let lhs = prop_oneof![path.clone(), path.clone(), path.clone(), literal];
+    let comparison = (cmp.clone(), lhs, operand, any::<bool>()).prop_map(compare);
+    // `year/month/day-from-dateTime(dateTime(p))` against a literal near
+    // Q0's constants, or `dateTime(p)` against a dateTime, `p` mostly the
+    // input itself so the date strings of `arb_value` reach `dateTime()`.
+    let date_path = prop_oneof![Just(RtExpr::Field(0)), Just(RtExpr::Field(0)), path.clone()];
+    let accessor = prop_oneof![
+        Just(Some(Function::YearFromDateTime)),
+        Just(Some(Function::MonthFromDateTime)),
+        Just(Some(Function::DayFromDateTime)),
+        Just(None),
+    ];
+    let date_literal = prop_oneof![
+        prop_oneof![Just(2003), Just(12), Just(25), Just(2002), Just(24)].prop_map(Item::int),
+        prop_oneof![Just(2003.0), Just(12.5)].prop_map(Item::double),
+        Just(date("20031225T06:30")),
+        Just(Item::str("2003")),
+    ];
+    let date_literal = prop_oneof![
+        date_literal.clone().prop_map(RtExpr::Const),
+        date_literal.prop_map(RtExpr::Const),
+        Just(nan()),
+    ];
+    let date_comparison = ((cmp, accessor), date_path, date_literal, any::<bool>()).prop_map(
+        |((f, accessor), p, lit, swap)| {
+            let d = RtExpr::Call(Function::DateTime, vec![p]);
+            let lhs = match accessor {
+                Some(part) => RtExpr::Call(part, vec![d]),
+                None => d,
+            };
+            compare((f, lhs, lit, swap))
+        },
+    );
+    let comparison = if dates {
+        prop_oneof![comparison.clone(), comparison, date_comparison]
+    } else {
+        comparison.boxed()
+    };
     // Connectives nest: `and`/`or` of one to three operands, which may be
     // connectives themselves (programs flatten nested `and`s and `or`s).
     let connective =
@@ -176,6 +272,7 @@ fn arb_expr() -> impl Strategy<Value = RtExpr> {
         });
     prop_oneof![
         path.clone(),
+        comparison.clone(),
         comparison.clone(),
         (comparison.clone(), comparison.clone())
             .prop_map(|(a, b)| RtExpr::Call(Function::And, vec![a, b])),
@@ -305,17 +402,19 @@ proptest! {
     #[test]
     fn fused_run_matches_one_operator_per_step(
         rows in prop::collection::vec((arb_value(), arb_date_field()), 0..40),
-        first in arb_expr(),
+        first in arb_total_expr(),
         parse_date in any::<bool>(),
-        cond in arb_expr(),
+        cond in arb_total_expr(),
         cond_reads_assigned in any::<bool>(),
-        second in arb_expr(),
+        second in arb_total_expr(),
         second_reads_assigned in any::<bool>(),
     ) {
         // Input tuples are (value, date field); the run is assign → select
         // → assign, adding fields 2 and 3. The first assign either computes
         // over field 0 or parses field 1, failing on some rows; the later
-        // steps read field 0 or the first assign's field 2.
+        // steps read field 0 or the first assign's field 2, and never fail
+        // (when tuples fail in different steps the fused run reports the
+        // first failing tuple, separate operators the earliest step).
         let rows: Vec<Vec<Item>> = rows.into_iter().map(|(v, d)| vec![v, d]).collect();
         let first = if parse_date {
             RtExpr::Call(Function::DateTime, vec![RtExpr::Field(1)])

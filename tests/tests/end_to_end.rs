@@ -480,3 +480,28 @@ fn mixed_numeric_group_keys_group_together() {
     counts.sort();
     assert_eq!(counts, vec![1, 2], "1 and 1.0 must share a group");
 }
+
+#[test]
+fn nan_is_unordered_in_value_comparisons() {
+    let e = engine(RuleConfig::all(), ClusterSpec::single_node(2));
+    for (cmp, want) in [("eq", false), ("ne", true), ("lt", false), ("ge", false)] {
+        let rows = e
+            .execute(&format!("(0 div 0) {cmp} (0 div 0)"))
+            .unwrap()
+            .rows;
+        assert_eq!(rows, vec![vec![Item::Boolean(want)]], "{cmp}");
+    }
+    // A NaN computed per tuple equals nothing, itself included.
+    let per_tuple = |cmp: &str| {
+        let q = format!(
+            r#"for $r in collection("/sensors")("root")()("results")()
+               let $n := ($r("value") - $r("value")) div 0
+               where $n {cmp} $n
+               return $r("station")"#
+        );
+        e.execute(&q).unwrap().rows.len()
+    };
+    assert_eq!(per_tuple("eq"), 0);
+    assert_eq!(per_tuple("le"), 0);
+    assert_eq!(per_tuple("ne"), all_measurements().len());
+}
